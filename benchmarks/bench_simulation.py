@@ -2,27 +2,24 @@
 
 The acceptance bar of the event-batched simulation core: on a seeded
 conformance-style workload (the same scenario recipe ``repro
-conformance`` checks models against) the ``numpy`` flavour must beat
-the ``python`` reference loop by >= ``REPRO_BENCH_MIN_SPEEDUP``
-(3x by default) *blended across all five arbitration policies*, while
-staying byte-identical — the flavours are one simulator, not two
-approximations of each other, so parity is ``==`` on every metric,
-waiting statistic and utilization figure, not a tolerance band.
+conformance`` checks models against) ``Simulator.run`` (the fast core)
+must beat the oracle ``Simulator._run_reference`` by >=
+``REPRO_BENCH_MIN_SPEEDUP`` (3x by default) *blended across all five
+arbitration policies*, while staying byte-identical — the two loops are
+one simulator, not two approximations of each other, so parity is
+``==`` on every metric, waiting statistic and utilization figure, not a
+tolerance band.
 """
 
 from __future__ import annotations
 
 import time
 
-import pytest
-
 from conftest import MIN_SPEEDUP, SMOKE, report
 from repro.conformance import generate_scenarios
 from repro.experiments.reporting import render_table
 from repro.experiments.setup import paper_benchmark_suite
 from repro.simulation.engine import SimulationConfig, Simulator
-
-pytest.importorskip("numpy")
 
 POLICIES = (
     "fcfs",
@@ -40,7 +37,7 @@ TARGET = 120 if SMOKE else 500
 ROUNDS = 1 if SMOKE else 3
 
 
-def _simulators(scenarios, suites, policy, backend):
+def _simulators(scenarios, suites, policy):
     built = []
     for scenario in scenarios:
         suite = suites[scenario.gallery_seed]
@@ -62,13 +59,12 @@ def _simulators(scenarios, suites, policy, backend):
                     arbitration=policy,
                     arbitration_params=params,
                 ),
-                backend=backend,
             )
         )
     return built
 
 
-def _measure(scenarios, suites, policy, backend):
+def _measure(scenarios, suites, policy, reference):
     """Best-of-``ROUNDS`` total seconds over the scenario batch.
 
     Simulators are rebuilt every round so no round benefits from warm
@@ -78,9 +74,12 @@ def _measure(scenarios, suites, policy, backend):
     best = float("inf")
     results = None
     for _ in range(ROUNDS):
-        simulators = _simulators(scenarios, suites, policy, backend)
+        simulators = _simulators(scenarios, suites, policy)
         started = time.perf_counter()
-        results = [simulator.run() for simulator in simulators]
+        results = [
+            simulator._run_reference() if reference else simulator.run()
+            for simulator in simulators
+        ]
         best = min(best, time.perf_counter() - started)
     return best, results
 
@@ -109,10 +108,10 @@ def test_simulation_fastcore_speedup(benchmark):
         timings = {}
         for policy in POLICIES:
             reference_seconds, reference_results = _measure(
-                scenarios, suites, policy, "python"
+                scenarios, suites, policy, reference=True
             )
             fast_seconds, fast_results = _measure(
-                scenarios, suites, policy, "numpy"
+                scenarios, suites, policy, reference=False
             )
             for index, (reference, fast) in enumerate(
                 zip(reference_results, fast_results)

@@ -157,17 +157,10 @@ def _measure_sweeps(fast: bool) -> Dict[str, object]:
     }
 
 
-def _measure_simulation(fast: bool) -> Optional[Dict[str, object]]:
-    """Blended SoA fast-core speedup on conformance-recipe scenarios.
-
-    ``None`` without numpy — the fast flavour needs the vectorized
-    backend, so there is nothing to compare against.
-    """
-    try:
-        import numpy  # noqa: F401  (probe only)
-    except ImportError:
-        return None
-
+def _measure_simulation(fast: bool) -> Dict[str, object]:
+    """Blended speedup of ``Simulator.run`` (the SoA fast core) over
+    the reference loop ``Simulator._run_reference`` on
+    conformance-recipe scenarios."""
     from repro.conformance import generate_scenarios
     from repro.experiments.setup import paper_benchmark_suite
     from repro.simulation.engine import SimulationConfig, Simulator
@@ -188,7 +181,7 @@ def _measure_simulation(fast: bool) -> Optional[Dict[str, object]]:
     }
     target = 150 if fast else 400
 
-    def batch_seconds(policy: str, backend: str) -> float:
+    def batch_seconds(policy: str, reference: bool) -> float:
         simulators = []
         for scenario in scenarios:
             suite = suites[scenario.gallery_seed]
@@ -210,20 +203,22 @@ def _measure_simulation(fast: bool) -> Optional[Dict[str, object]]:
                         arbitration=policy,
                         arbitration_params=params,
                     ),
-                    backend=backend,
                 )
             )
         started = time.perf_counter()
         for simulator in simulators:
-            simulator.run()
+            if reference:
+                simulator._run_reference()
+            else:
+                simulator.run()
         return time.perf_counter() - started
 
     reference_total = 0.0
     fast_total = 0.0
     per_policy = {}
     for policy in policies:
-        reference = batch_seconds(policy, "python")
-        quick = batch_seconds(policy, "numpy")
+        reference = batch_seconds(policy, reference=True)
+        quick = batch_seconds(policy, reference=False)
         reference_total += reference
         fast_total += quick
         per_policy[policy] = round(reference / quick, 3)

@@ -626,22 +626,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--sim-iterations", type=int, default=60, metavar="N"
     )
     conformance.add_argument(
-        "--engine-backend",
-        default=None,
-        metavar="NAME",
-        help=(
-            "simulation engine backend (e.g. 'python', 'numpy'; "
-            "default: the resolution order of REPRO_BACKEND/auto); "
-            "all flavours are byte-identical, the knob exists to "
-            "exercise and profile each stepping loop"
-        ),
-    )
-    conformance.add_argument(
         "--profile",
         action="store_true",
         help=(
             "print the accumulated engine profile (events, stale "
-            "events, preemptions, per-phase wall time by flavour) "
+            "events, preemptions, per-phase wall time) "
             "after the conformance table"
         ),
     )
@@ -1456,7 +1445,6 @@ def _cmd_conformance(arguments) -> None:
         models=models,
         target_iterations=arguments.sim_iterations,
         progress=lambda message: print(f"... {message}", flush=True),
-        engine_backend=arguments.engine_backend,
         collect_stats=arguments.profile,
     )
     print(report.render())

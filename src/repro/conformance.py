@@ -61,7 +61,6 @@ from typing import (
 import random
 
 from repro.analysis_engine import build_engines
-from repro.backend import ArrayBackend, get_backend
 from repro.core.blocking import build_profiles
 from repro.core.estimator import ProbabilisticEstimator
 from repro.core.registry import (
@@ -78,11 +77,7 @@ from repro.experiments.setup import (
 from repro.generation.workload import WorkloadConfig, WorkloadGenerator
 from repro.platform.usecase import UseCase
 from repro.runtime.events import EventKind
-from repro.simulation.engine import (
-    SimulationConfig,
-    Simulator,
-    _jit_requested,
-)
+from repro.simulation.engine import SimulationConfig, Simulator
 from repro.simulation.metrics import EngineStats
 from repro.telemetry import get_registry
 
@@ -186,11 +181,10 @@ class ConformanceReport:
     reports: List[ModelReport]
     elapsed_seconds: float
     simulations_run: int
-    #: Per-flavour accumulated engine profiles (``--profile``): every
+    #: Accumulated engine profile of the batch (``--profile``): every
     #: simulation's :class:`~repro.simulation.metrics.EngineStats`
-    #: merged by the flavour that actually ran (a JIT request can fall
-    #: back per scenario, so one run may populate several rows).
-    engine_profile: Dict[str, EngineStats] = field(default_factory=dict)
+    #: summed; None when not collected or no simulation ran.
+    engine_profile: Optional[EngineStats] = None
 
     @property
     def passed(self) -> bool:
@@ -249,31 +243,27 @@ class ConformanceReport:
 
     def render_profile(self) -> str:
         """Engine-profile table of the batch (``repro conformance
-        --profile``): one row per flavour that ran, with dispatched /
-        stale / preemption counts and per-phase wall time."""
+        --profile``): dispatched / stale / preemption counts and
+        per-phase wall time."""
         from repro.experiments.reporting import render_table
 
-        if not self.engine_profile:
+        stats = self.engine_profile
+        if stats is None:
             return "no engine profile collected"
-        rows = []
-        for flavour in sorted(self.engine_profile):
-            stats = self.engine_profile[flavour]
-            phases = " ".join(
-                f"{phase}={stats.phase_seconds[phase] * 1e3:.1f}ms"
-                for phase in sorted(stats.phase_seconds)
-            )
-            rows.append(
+        phases = " ".join(
+            f"{phase}={stats.phase_seconds[phase] * 1e3:.1f}ms"
+            for phase in sorted(stats.phase_seconds)
+        )
+        return render_table(
+            ["events", "stale", "preemptions", "phases"],
+            [
                 [
-                    flavour,
                     str(stats.events_dispatched),
                     str(stats.stale_events),
                     str(stats.preemptions),
                     phases,
                 ]
-            )
-        return render_table(
-            ["flavour", "events", "stale", "preemptions", "phases"],
-            rows,
+            ],
             title=(
                 f"Engine profile: {self.simulations_run} simulations"
             ),
@@ -455,79 +445,57 @@ def _model_for_scenario(info: WaitingModelInfo, scenario: Scenario):
     )
 
 
-def _engine_profile_snapshot() -> Dict[str, EngineStats]:
-    """Per-flavour engine totals currently held by the metrics registry.
+def _engine_profile_snapshot() -> EngineStats:
+    """Engine totals currently held by the metrics registry.
 
     :meth:`Simulator.run` folds every run's :class:`EngineStats` into
     the always-on ``repro_sim_*`` counters; this reads them back into
     the same dataclass the profile table renders from.
     """
     registry = get_registry()
-    phases = registry.label_values("repro_sim_phase_seconds_total", "phase")
-    profile: Dict[str, EngineStats] = {}
-    for flavour in registry.label_values(
-        "repro_sim_events_dispatched_total", "flavour"
-    ):
-        phase_seconds: Dict[str, float] = {}
-        for phase in phases:
-            seconds = registry.value(
-                "repro_sim_phase_seconds_total",
-                flavour=flavour,
-                phase=phase,
-            )
-            if seconds:
-                phase_seconds[phase] = seconds
+    phase_seconds: Dict[str, float] = {}
+    for phase in registry.label_values("repro_sim_phase_seconds_total", "phase"):
+        seconds = registry.value("repro_sim_phase_seconds_total", phase=phase)
+        if seconds:
+            phase_seconds[phase] = seconds
 
-        def _count(name: str) -> int:
-            return int(registry.value(name, flavour=flavour) or 0)
+    def _count(name: str) -> int:
+        return int(registry.value(name) or 0)
 
-        profile[flavour] = EngineStats(
-            flavour=flavour,
-            events_dispatched=_count("repro_sim_events_dispatched_total"),
-            stale_events=_count("repro_sim_stale_events_total"),
-            preemptions=_count("repro_sim_preemptions_total"),
-            phase_seconds=phase_seconds,
-        )
-    return profile
+    return EngineStats(
+        events_dispatched=_count("repro_sim_events_dispatched_total"),
+        stale_events=_count("repro_sim_stale_events_total"),
+        preemptions=_count("repro_sim_preemptions_total"),
+        phase_seconds=phase_seconds,
+    )
 
 
 def _engine_profile_delta(
-    before: Dict[str, EngineStats],
-    after: Dict[str, EngineStats],
-) -> Dict[str, EngineStats]:
+    before: EngineStats, after: EngineStats
+) -> Optional[EngineStats]:
     """Engine work accumulated between two registry snapshots.
 
     The registry counts every simulation in the process, so a suite
     scopes its profile by differencing snapshots taken around its own
-    runs.  Flavours that did no work in the window are dropped.
+    runs.  None when the engine did no work in the window.
     """
-    delta: Dict[str, EngineStats] = {}
-    for flavour, end in after.items():
-        base = before.get(flavour)
-        stats = EngineStats(
-            flavour=flavour,
-            events_dispatched=end.events_dispatched
-            - (base.events_dispatched if base else 0),
-            stale_events=end.stale_events
-            - (base.stale_events if base else 0),
-            preemptions=end.preemptions
-            - (base.preemptions if base else 0),
-            phase_seconds={},
-        )
-        for phase, seconds in end.phase_seconds.items():
-            grown = seconds - (
-                base.phase_seconds.get(phase, 0.0) if base else 0.0
-            )
-            if grown > 0.0:
-                stats.phase_seconds[phase] = grown
-        if (
-            stats.events_dispatched
-            or stats.stale_events
-            or stats.preemptions
-            or stats.phase_seconds
-        ):
-            delta[flavour] = stats
-    return delta
+    stats = EngineStats(
+        events_dispatched=after.events_dispatched - before.events_dispatched,
+        stale_events=after.stale_events - before.stale_events,
+        preemptions=after.preemptions - before.preemptions,
+    )
+    for phase, seconds in after.phase_seconds.items():
+        grown = seconds - before.phase_seconds.get(phase, 0.0)
+        if grown > 0.0:
+            stats.phase_seconds[phase] = grown
+    if (
+        stats.events_dispatched
+        or stats.stale_events
+        or stats.preemptions
+        or stats.phase_seconds
+    ):
+        return stats
+    return None
 
 
 def run_conformance(
@@ -538,27 +506,20 @@ def run_conformance(
     target_iterations: int = 60,
     utilization_cap: float = DEFAULT_UTILIZATION_CAP,
     progress: Optional[Callable[[str], None]] = None,
-    engine_backend: "ArrayBackend | str | None" = None,
     simulations: Optional[Dict[object, Dict[str, float]]] = None,
     collect_stats: bool = False,
 ) -> ConformanceReport:
     """Check every registered model's declared semantics against DES.
 
     One scenario batch is shared by all models; simulations are cached
-    per ``(engine flavour, scenario, arbiter, parameters)``, so the
-    FCFS reference runs once per scenario no matter how many mean
-    models consume it.  ``engine_backend`` picks the simulator's
-    stepping loop (an :class:`~repro.backend.ArrayBackend`, a backend
-    name, or None for the resolution default); all flavours are
-    byte-identical, so the verdicts cannot depend on it — the knob
-    exists to exercise and profile each loop.  ``simulations`` is an
-    optional shared cross-call cache (like ``generate_scenarios``'s
-    ``suites``); the key carries the backend/JIT flavour so runs from
-    different engine configurations are never conflated.  With
-    ``collect_stats`` the per-flavour ``repro_sim_*`` counters of the
-    shared metrics registry are snapshotted around the suite and their
-    delta becomes ``report.engine_profile`` — the profile table is a
-    view over the same telemetry every other consumer scrapes.
+    per ``(scenario, arbiter, parameters)``, so the FCFS reference runs
+    once per scenario no matter how many mean models consume it.
+    ``simulations`` is an optional shared cross-call cache (like
+    ``generate_scenarios``'s ``suites``).  With ``collect_stats`` the
+    ``repro_sim_*`` counters of the shared metrics registry are
+    snapshotted around the suite and their delta becomes
+    ``report.engine_profile`` — the profile table is a view over the
+    same telemetry every other consumer scrapes.
     """
     started = _time.perf_counter()
     selected = (
@@ -568,14 +529,6 @@ def run_conformance(
     for info in infos:
         if info.arbiter is not None:
             ARBITERS.get(info.arbiter)  # fail fast on bad metadata
-    backend = get_backend(engine_backend)
-    # Cache-key component for the engine configuration.  The exact
-    # flavour is resolved per Simulator (a JIT request falls back on
-    # unsupported scenarios), but it is a pure function of (backend,
-    # JIT request, arbiter) — and the arbiter is already in the key —
-    # so this component distinguishes every flavour a shared cache
-    # could see without having to construct a Simulator on cache hits.
-    flavour_key = (backend.name, _jit_requested())
     suites: Dict[int, BenchmarkSuite] = {}
     scenarios = generate_scenarios(
         application_count=application_count,
@@ -586,9 +539,7 @@ def run_conformance(
     )
     if simulations is None:
         simulations = {}
-    profile_baseline = (
-        _engine_profile_snapshot() if collect_stats else {}
-    )
+    profile_baseline = _engine_profile_snapshot() if collect_stats else None
     simulations_run = 0
     estimators: Dict[object, ProbabilisticEstimator] = {}
     # Structural analysis (HSDF expansion, Howard warm starts, period
@@ -626,7 +577,6 @@ def run_conformance(
             # produce byte-identical runs for every draw, so all mean
             # models of one (gallery, use-case) share one reference.
             sim_key = (
-                flavour_key,
                 scenario.gallery_seed,
                 scenario.use_case,
                 info.arbiter,
@@ -654,7 +604,6 @@ def run_conformance(
                             arbitration_params or None
                         ),
                     ),
-                    backend=backend,
                 )
                 result = simulator.run()
                 simulations_run += 1
@@ -728,10 +677,8 @@ def run_conformance(
         elapsed_seconds=_time.perf_counter() - started,
         simulations_run=simulations_run,
         engine_profile=(
-            _engine_profile_delta(
-                profile_baseline, _engine_profile_snapshot()
-            )
-            if collect_stats
-            else {}
+            _engine_profile_delta(profile_baseline, _engine_profile_snapshot())
+            if profile_baseline is not None
+            else None
         ),
     )

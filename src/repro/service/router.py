@@ -137,6 +137,9 @@ class _Shard:
     #: potentially stale cache for it — it must not serve that gallery
     #: until the invalidation is replayed (the stale-rejoin fix).
     acked: Dict[str, int] = field(default_factory=dict)
+    #: Set when ``leave`` starts: a retiring shard never re-enters the
+    #: ring, even if a health probe lands during its hand-off.
+    retiring: bool = False
 
 
 @dataclass
@@ -426,7 +429,7 @@ class ShardRouter:
             task.add_done_callback(lambda _: None)
 
     def _mark_up(self, shard: _Shard) -> None:
-        if shard.healthy:
+        if shard.healthy or shard.retiring:
             return
         shard.healthy = True
         self._metric_rejoins.inc()
@@ -571,6 +574,8 @@ class ShardRouter:
             raise ServiceError(
                 f"shard {name!r} is already part of the fleet"
             )
+        if known is not None and known.retiring:
+            raise ServiceError(f"shard {name!r} is leaving the fleet")
         if known is not None:
             # A known-but-down shard: admin-driven resurrection walks
             # the same replay-then-rejoin path as the health loop.
@@ -651,7 +656,7 @@ class ShardRouter:
         a shard that *left*, unlike one that *died*.
         """
         shard = self._shards.get(name)
-        if shard is None:
+        if shard is None or shard.retiring:
             raise ServiceError(f"shard {name!r} is not part of the fleet")
         survivors = [
             s for s in self._shards.values() if s.healthy and s.name != name
@@ -663,7 +668,10 @@ class ShardRouter:
         was_healthy = shard.healthy
         if shard.name in self._ring:
             self._ring.remove(shard.name)
-        shard.healthy = False  # the health loop must not re-add it
+        shard.healthy = False
+        # The hand-off below awaits; a probe landing meanwhile (or one
+        # already in flight) must not put the shard back on the ring.
+        shard.retiring = True
         entries_moved = 0
         handoff_galleries: List[str] = []
         if was_healthy:

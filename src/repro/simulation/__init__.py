@@ -7,6 +7,8 @@ are judged against.  The engine executes every active application
 self-timed; actors whose input tokens are available request their
 processor and an :class:`~repro.simulation.arbiter.Arbiter` (FCFS by
 default, matching the paper's contention model) decides who runs next.
+One stepping loop (:mod:`repro.simulation.fastcore`) runs every backend
+and every registered arbiter.
 """
 
 from repro.simulation.arbiter import (
@@ -19,12 +21,7 @@ from repro.simulation.arbiter import (
     WeightedRoundRobinArbiter,
     make_arbiter,
 )
-from repro.simulation.engine import (
-    JIT_ENV_VAR,
-    SimulationConfig,
-    Simulator,
-    simulate,
-)
+from repro.simulation.engine import SimulationConfig, Simulator, simulate
 from repro.simulation.metrics import (
     ApplicationMetrics,
     EngineStats,
@@ -35,7 +32,6 @@ from repro.simulation.trace import TraceEntry, format_gantt
 __all__ = [
     "ApplicationMetrics",
     "EngineStats",
-    "JIT_ENV_VAR",
     "Arbiter",
     "ArbiterContext",
     "FCFSArbiter",

@@ -23,28 +23,17 @@ order and queue ties break on actor id, so repeated runs give identical
 traces.  Execution times may be randomized through a
 :class:`TimeModel` (the paper's stochastic extension); the RNG is seeded.
 
-Engine flavours
----------------
-The stepping loop is selected through the same :class:`~repro.backend.
-ArrayBackend` dispatch the estimator uses (explicit ``backend=``
-argument, then ``REPRO_BACKEND``, then auto-detection):
-
-* ``python`` — the reference loop below (:meth:`Simulator.
-  _run_reference`): pluggable arbiter objects, heap of event tuples.
-  Always used when the resolved backend is not vectorized, or when a
-  third-party arbitration policy is registered.
-* ``numpy`` — the flat structure-of-arrays core
-  (:mod:`repro.simulation.fastcore`): a ``(time, seq)`` event calendar
-  with per-field payload lists, precomputed per-arbiter dispatch
-  tables, and batched same-timestamp retirement.  Byte-identical to the
-  reference loop — traces, metrics, waiting statistics, utilization and
-  error messages all match bit-for-bit (enforced by the differential
-  test suite).
-* ``jit`` — opt-in via ``REPRO_SIM_JIT=1`` with the ``jit`` extra
-  (numba) installed: the inner stepping loop compiled in nopython mode
-  (:mod:`repro.simulation.jit`).  Falls back to ``numpy`` silently when
-  numba is missing or the configuration is unsupported; results remain
-  byte-identical.
+Stepping loop
+-------------
+:meth:`Simulator.run` always steps on the flat structure-of-arrays core
+(:mod:`repro.simulation.fastcore`), whatever the array backend and
+whichever registered arbiter is configured: a ``(time, seq)`` event
+calendar with per-field payload lists, inlined builtin arbitration, a
+generic hook for third-party arbiters, and batched same-timestamp
+retirement.  :meth:`Simulator._run_reference` is the plain loop it
+re-implements (pluggable arbiter objects, heap of event tuples).  No
+option selects it: it is the oracle the differential test suite and
+the simulation benchmark compare the core against, bit-for-bit.
 
 Every run records an :class:`~repro.simulation.metrics.EngineStats`
 profile, retrievable through :meth:`Simulator.stats`.
@@ -53,13 +42,12 @@ profile, retrievable through :meth:`Simulator.stats`.
 from __future__ import annotations
 
 import heapq
-import os
+import math
 import random
 import time as _time
 from dataclasses import dataclass
 from typing import Dict, List, Mapping as TMapping, Optional, Sequence, Tuple
 
-from repro.backend import ArrayBackend, get_backend
 from repro.exceptions import AnalysisError, DeadlockError, MappingError
 from repro.platform.mapping import Mapping, index_mapping
 from repro.sdf.graph import SDFGraph
@@ -67,7 +55,7 @@ from repro.sdf.liveness import assert_live
 from repro.sdf.repetition import repetition_vector
 from repro.simulation.arbiter import ArbiterContext, make_arbiter
 from repro.wcrt.weighted_round_robin import validate_weights
-from repro.simulation.fastcore import POLICY_CODES, run_fast
+from repro.simulation.fastcore import duration_error, run_fast
 from repro.simulation.metrics import (
     EngineStats,
     IterationTracker,
@@ -78,60 +66,38 @@ from repro.simulation.metrics import (
 from repro.simulation.trace import TraceEntry
 from repro.telemetry import get_registry
 
-#: Environment opt-in for the numba-compiled stepping loop.
-JIT_ENV_VAR = "REPRO_SIM_JIT"
-
-
 def record_engine_stats(stats: EngineStats) -> None:
     """Fold one run's :class:`EngineStats` into the global registry.
 
-    Counters are labelled by engine flavour and created ``always=True``:
-    the per-flavour profile (``repro conformance --profile``) is keyed
-    off these shared counters, and — like ``EngineStats`` itself — they
-    are cheap enough to stay on regardless of ``REPRO_TELEMETRY``.
+    Counters are created ``always=True``: the engine profile (``repro
+    conformance --profile``) is read off these shared counters, and —
+    like ``EngineStats`` itself — they are cheap enough to stay on
+    regardless of ``REPRO_TELEMETRY``.
     """
     registry = get_registry()
     registry.counter(
-        "repro_sim_runs_total",
-        "Simulation runs by engine flavour",
-        always=True,
-        flavour=stats.flavour,
+        "repro_sim_runs_total", "Simulation runs", always=True
     ).inc()
     registry.counter(
         "repro_sim_events_dispatched_total",
-        "DES events dispatched by engine flavour",
+        "DES events dispatched",
         always=True,
-        flavour=stats.flavour,
     ).inc(stats.events_dispatched)
     registry.counter(
         "repro_sim_stale_events_total",
-        "Stale (superseded) DES events by engine flavour",
+        "Stale (superseded) DES events",
         always=True,
-        flavour=stats.flavour,
     ).inc(stats.stale_events)
     registry.counter(
-        "repro_sim_preemptions_total",
-        "Preemptions performed by engine flavour",
-        always=True,
-        flavour=stats.flavour,
+        "repro_sim_preemptions_total", "Preemptions performed", always=True
     ).inc(stats.preemptions)
     for phase, seconds in stats.phase_seconds.items():
         registry.counter(
             "repro_sim_phase_seconds_total",
-            "Wall-clock seconds per engine phase and flavour",
+            "Wall-clock seconds per engine phase",
             always=True,
-            flavour=stats.flavour,
             phase=phase,
         ).inc(seconds)
-
-
-def _jit_requested() -> bool:
-    return os.environ.get(JIT_ENV_VAR, "").strip().lower() in {
-        "1",
-        "true",
-        "yes",
-        "on",
-    }
 
 
 class TimeModel:
@@ -168,9 +134,11 @@ class SimulationConfig:
         Stop once every application completed this many iterations
         (``None``: run until ``horizon``).
     horizon:
-        Optional time limit; events beyond it are not processed.
+        Optional time limit (positive); events beyond it are not
+        processed.
     warmup_fraction:
-        Fraction of iterations discarded before measuring periods.
+        Fraction of iterations discarded before measuring periods, in
+        ``[0, 1)``.
     record_trace:
         Keep a Gantt trace of all firings (memory-heavy; for examples
         and invariants tests).
@@ -180,7 +148,8 @@ class SimulationConfig:
     time_model:
         Execution-time model; default is the deterministic one.
     max_events:
-        Hard bound on processed events, a guard against misconfiguration.
+        Hard bound on processed events (at least 1), a guard against
+        misconfiguration.
     """
 
     arbitration: str = "fcfs"
@@ -202,6 +171,19 @@ class SimulationConfig:
             raise AnalysisError(
                 "target_iterations must be at least 5 to measure a period"
             )
+        if not 0.0 <= self.warmup_fraction < 1.0:
+            raise AnalysisError(
+                "warmup_fraction must be in [0, 1), got "
+                f"{self.warmup_fraction!r}"
+            )
+        if self.horizon is not None and not self.horizon > 0:
+            raise AnalysisError(
+                f"horizon must be positive, got {self.horizon!r}"
+            )
+        if self.max_events < 1:
+            raise AnalysisError(
+                f"max_events must be at least 1, got {self.max_events!r}"
+            )
 
 
 class Simulator:
@@ -215,10 +197,6 @@ class Simulator:
         Actor bindings; defaults to the paper's index mapping.
     config:
         See :class:`SimulationConfig`.
-    backend:
-        Engine-flavour selector (see the module docstring): an
-        :class:`~repro.backend.ArrayBackend`, a backend name, or None
-        for the usual resolution order (``REPRO_BACKEND``, then auto).
     """
 
     def __init__(
@@ -226,7 +204,6 @@ class Simulator:
         graphs: Sequence[SDFGraph],
         mapping: Optional[Mapping] = None,
         config: Optional[SimulationConfig] = None,
-        backend: "ArrayBackend | str | None" = None,
     ) -> None:
         if not graphs:
             raise AnalysisError("simulation needs at least one application")
@@ -236,36 +213,11 @@ class Simulator:
         self.graphs = list(graphs)
         self.mapping = mapping if mapping is not None else index_mapping(graphs)
         self.config = config if config is not None else SimulationConfig()
-        self.backend = get_backend(backend)
         self._last_stats: Optional[EngineStats] = None
         for graph in self.graphs:
             assert_live(graph)
         self.mapping.validate_against(self.graphs)
         self._build()
-        self.flavour = self._resolve_flavour()
-
-    # ------------------------------------------------------------------
-    def _resolve_flavour(self) -> str:
-        """Pick the stepping loop: ``python``, ``numpy`` or ``jit``."""
-        if not self.backend.vectorized:
-            return "python"
-        from repro.core.registry import ARBITERS
-
-        try:
-            info = ARBITERS.get(self.config.arbitration)
-        except Exception:
-            # Unknown policy: keep the reference loop so the error
-            # surfaces at run() time exactly as it always did.
-            return "python"
-        if info.name not in POLICY_CODES:
-            # Third-party arbiter: only the reference loop can drive it.
-            return "python"
-        if _jit_requested():
-            from repro.simulation.jit import jit_supported
-
-            if jit_supported(self):
-                return "jit"
-        return "numpy"
 
     # ------------------------------------------------------------------
     def stats(self) -> Optional[EngineStats]:
@@ -387,34 +339,20 @@ class Simulator:
     def run(self) -> SimulationResult:
         """Execute the simulation and return measured metrics.
 
-        Dispatches to the flavour resolved at construction time; all
-        flavours produce byte-identical results.  Every run folds its
-        :class:`EngineStats` into the global metrics registry (per
-        flavour, always on) — the conformance ``--profile`` table and
-        the telemetry exposition read those shared counters.
+        Steps on :func:`~repro.simulation.fastcore.run_fast`.  Every run
+        folds its :class:`EngineStats` into the global metrics registry
+        (always on) — the conformance ``--profile`` table and the
+        telemetry exposition read those shared counters.
         """
-        result = self._dispatch()
-        if self._last_stats is not None:
-            record_engine_stats(self._last_stats)
+        result = run_fast(self)
+        record_engine_stats(self._last_stats)
         return result
-
-    def _dispatch(self) -> SimulationResult:
-        if self.flavour == "jit":
-            from repro.simulation.jit import run_jit
-
-            result = run_jit(self)
-            if result is not None:
-                return result
-            # Capacity overflow in the fixed-size JIT buffers: redo the
-            # run on the interpreted SoA core (identical results).
-            return run_fast(self, flavour="numpy")
-        if self.flavour == "numpy":
-            return run_fast(self)
-        return self._run_reference()
 
     # ------------------------------------------------------------------
     def _run_reference(self) -> SimulationResult:
-        """The reference (``python`` flavour) stepping loop."""
+        """The reference stepping loop: the oracle :meth:`run` is
+        tested against bit-for-bit.  Only tests and benchmarks call it.
+        """
         t_setup = _time.perf_counter()
         config = self.config
         rng = random.Random(config.seed)
@@ -503,11 +441,11 @@ class Simulator:
                     self._tau[actor_id],
                     rng,
                 )
-                if duration <= 0:
-                    raise AnalysisError(
-                        "time model produced a non-positive execution time "
-                        f"({duration}) for {self._app_of[actor_id]}."
-                        f"{self._name_of[actor_id]}"
+                if not 0.0 < duration < math.inf:
+                    raise duration_error(
+                        duration,
+                        self._app_of[actor_id],
+                        self._name_of[actor_id],
                     )
             sequence += 1
             busy_time[proc] += duration
@@ -658,7 +596,6 @@ class Simulator:
                 samples=waiting_count[actor_id],
             )
         self._last_stats = EngineStats(
-            flavour="python",
             events_dispatched=events,
             stale_events=stale,
             preemptions=preemptions,
@@ -682,7 +619,6 @@ def simulate(
     graphs: Sequence[SDFGraph],
     mapping: Optional[Mapping] = None,
     config: Optional[SimulationConfig] = None,
-    backend: "ArrayBackend | str | None" = None,
 ) -> SimulationResult:
     """Convenience wrapper: build a :class:`Simulator` and run it."""
-    return Simulator(graphs, mapping, config, backend=backend).run()
+    return Simulator(graphs, mapping, config).run()

@@ -1,9 +1,10 @@
-"""Flat structure-of-arrays (SoA) fast path of the DES engine.
+"""Flat structure-of-arrays (SoA) stepping loop of the DES engine.
 
-This module is the ``numpy``-flavour stepping loop behind
-:meth:`repro.simulation.engine.Simulator.run`.  It replays *exactly* the
-semantics of the reference loop (``Simulator._run_reference``) on a flat
-data layout and must stay byte-identical to it: traces, metrics, waiting
+This is the one loop behind :meth:`repro.simulation.engine.Simulator.run`,
+on every array backend and for every registered arbitration policy.  It
+replays *exactly* the semantics of the reference loop
+(``Simulator._run_reference``, kept as the test oracle) on a flat data
+layout and must stay byte-identical to it: traces, metrics, waiting
 statistics, utilization, event counts and error messages are all
 compared bit-for-bit by the differential test suite.
 
@@ -24,24 +25,22 @@ SoA event calendar — invariants
   schedule another event at the *same* timestamp, so the batch is closed
   under processing.  Within a batch, events retire strictly in sequence
   order — identical to the reference loop's one-at-a-time pops.
-* Arbitration is dispatched on a precomputed integer policy code with
-  per-processor flat queues (sorted lists for fcfs/priority flavours,
+* Builtin arbitration policies dispatch on a precomputed integer policy
+  code with per-processor flat queues (sorted lists for fcfs/priority,
   membership bitmaps plus rotation cursors for the round-robin
-  flavours); pick/enqueue outcomes are the same as the pluggable
-  arbiter objects for every builtin policy.
+  policies); pick/enqueue outcomes are the same as the pluggable
+  arbiter objects.  Every other registered policy takes the
+  :data:`GENERIC` code, which drives the registry's
+  :class:`~repro.simulation.arbiter.Arbiter` objects through
+  ``enqueue`` / ``pick`` / ``preemptive`` / ``preempts`` exactly as the
+  reference loop does.
 * ``touched`` processor collections remain real Python ``set``s built
   with the reference loop's exact insertion sequence: set iteration
   order determines start order (and therefore sequence-number
   assignment) at shared timestamps, and for processor indices >= 8
   CPython's open addressing makes that order insertion-dependent, so no
   recomputed ordering (ascending, bitmask, ...) is byte-safe on larger
-  platforms.  The JIT kernel *does* use an ascending bitmask, which is
-  why it is additionally gated to platforms with at most eight
-  processors — there every small-int index sits in its own slot and set
-  order provably is ascending.
-
-Only builtin arbitration policies are supported; the engine falls back
-to the reference loop for third-party arbiters.
+  platforms.
 """
 
 from __future__ import annotations
@@ -72,15 +71,42 @@ POLICY_CODES: Dict[str, int] = {
     "priority_preemptive": 4,
 }
 
+#: Policy code for registered policies outside :data:`POLICY_CODES`.
+GENERIC = 5
 
-def run_fast(sim: "Simulator", flavour: str = "numpy") -> SimulationResult:
+_INF = float("inf")
+
+
+def duration_error(
+    duration: float, application: str, actor: str
+) -> AnalysisError:
+    """The error both loops raise for a sampled execution time that is
+    not a positive finite number."""
+    kind = "non-positive" if duration <= 0 else "non-finite"
+    return AnalysisError(
+        f"time model produced a {kind} execution time ({duration}) "
+        f"for {application}.{actor}"
+    )
+
+
+def run_fast(sim: "Simulator") -> SimulationResult:
     """Run ``sim`` on the flat SoA core; result matches the reference loop."""
     t_setup = _time.perf_counter()
     config = sim.config
     from repro.core.registry import ARBITERS
 
-    policy = POLICY_CODES[ARBITERS.get(config.arbitration).name]
-    preemptive = policy == 4
+    # Context before policy lookup: the reference loop's error order.
+    context = sim._arbiter_context()
+    policy = POLICY_CODES.get(ARBITERS.get(config.arbitration).name, GENERIC)
+    arbiters: List = []
+    if policy == GENERIC:
+        from repro.simulation.arbiter import make_arbiter
+
+        arbiters = [
+            make_arbiter(config.arbitration, member_list, context)
+            for member_list in sim._members
+        ]
+    preemptive = policy == 4 or policy == GENERIC
 
     rng = random.Random(config.seed)
     time_model = config.time_model
@@ -101,7 +127,6 @@ def run_fast(sim: "Simulator", flavour: str = "numpy") -> SimulationResult:
     name_of = sim._name_of
     tau = sim._tau
     proc_of = sim._proc_of
-    context = sim._arbiter_context()
     prio = [context.priority_of(a) for a in range(n)]
     weight_of = [context.weight_of(a) for a in range(n)]
     if policy == 2:
@@ -208,6 +233,8 @@ def run_fast(sim: "Simulator", flavour: str = "numpy") -> SimulationResult:
             while lo > 0 and q[lo - 1] > entry:
                 lo -= 1
             q.insert(lo, entry)
+        elif policy == GENERIC:
+            arbiters[p].enqueue(aid, now)
         elif policy == 3:
             q = queues[p]
             entry = (-prio[aid], rank_of[aid], aid)
@@ -222,7 +249,7 @@ def run_fast(sim: "Simulator", flavour: str = "numpy") -> SimulationResult:
             while lo > 0 and q[lo - 1] > entry:
                 lo -= 1
             q.insert(lo, entry)
-        else:  # round-robin flavours
+        else:  # round-robin policies
             if not in_q[aid]:
                 in_q[aid] = True
                 qcount[p] += 1
@@ -232,6 +259,9 @@ def run_fast(sim: "Simulator", flavour: str = "numpy") -> SimulationResult:
         if policy == 0:
             q = queues[tp]
             return q.pop(0)[1] if q else -1
+        if policy == GENERIC:
+            aid = arbiters[tp].pick()
+            return -1 if aid is None else aid
         if policy == 3 or policy == 4:
             q = queues[tp]
             return q.pop(0)[2] if q else -1
@@ -301,11 +331,8 @@ def run_fast(sim: "Simulator", flavour: str = "numpy") -> SimulationResult:
                 duration = tau[aid]
             else:
                 duration = sample(app_str[aid], name_of[aid], tau[aid], rng)
-            if duration <= 0:
-                raise AnalysisError(
-                    "time model produced a non-positive execution time "
-                    f"({duration}) for {app_str[aid]}.{name_of[aid]}"
-                )
+            if not 0.0 < duration < _INF:
+                raise duration_error(duration, app_str[aid], name_of[aid])
         end = now + duration
         busy_time[tp] += duration
         if preemptive:
@@ -337,11 +364,14 @@ def run_fast(sim: "Simulator", flavour: str = "numpy") -> SimulationResult:
         busy_time[p2] -= leftover
         state[victim] = 1
         request_time[victim] = now
-        entry = (-prio[victim], now, victim)
-        lo = len(q)
-        while lo > 0 and q[lo - 1] > entry:
-            lo -= 1
-        q.insert(lo, entry)
+        if policy == GENERIC:
+            arbiters[p2].enqueue(victim, now)
+        else:
+            entry = (-prio[victim], now, victim)
+            lo = len(q)
+            while lo > 0 and q[lo - 1] > entry:
+                lo -= 1
+            q.insert(lo, entry)
         busy[p2] = False
         running[p2] = -1
         if record:
@@ -372,6 +402,7 @@ def run_fast(sim: "Simulator", flavour: str = "numpy") -> SimulationResult:
     broke = False
     hpush = heappush
     hpop = heappop
+    inf = _INF
     ev_append = ev_actor.append
     gen_append = ev_gen.append
     tr_aid_append = tr_aid.append
@@ -379,7 +410,7 @@ def run_fast(sim: "Simulator", flavour: str = "numpy") -> SimulationResult:
     tr_end_append = tr_end.append
     # Event times are finite, so an infinite sentinel makes the horizon
     # check branch-free when no horizon is configured.
-    horizon_f = float("inf") if horizon is None else horizon
+    horizon_f = inf if horizon is None else horizon
     while heap:
         now, seq = hpop(heap)
         if now > horizon_f:
@@ -452,6 +483,15 @@ def run_fast(sim: "Simulator", flavour: str = "numpy") -> SimulationResult:
                                 while lo > 0 and q[lo - 1] > entry:
                                     lo -= 1
                                 q.insert(lo, entry)
+                            elif policy == GENERIC:
+                                arb = arbiters[p2]
+                                arb.enqueue(dst, now)
+                                if (
+                                    arb.preemptive
+                                    and busy[p2]
+                                    and arb.preempts(running[p2])
+                                ):
+                                    do_preempt(p2, now)
                             elif policy == 3:
                                 q = queues[p2]
                                 entry = (negp[dst], rank_of[dst], dst)
@@ -488,6 +528,15 @@ def run_fast(sim: "Simulator", flavour: str = "numpy") -> SimulationResult:
                             while lo > 0 and q[lo - 1] > entry:
                                 lo -= 1
                             q.insert(lo, entry)
+                        elif policy == GENERIC:
+                            arb = arbiters[p]
+                            arb.enqueue(aid, now)
+                            if (
+                                arb.preemptive
+                                and busy[p]
+                                and arb.preempts(running[p])
+                            ):
+                                do_preempt(p, now)
                         elif policy == 3:
                             q = queues[p]
                             entry = (negp[aid], rank_of[aid], aid)
@@ -518,6 +567,10 @@ def run_fast(sim: "Simulator", flavour: str = "numpy") -> SimulationResult:
                         if not q:
                             continue
                         aid2 = q.pop(0)[1]
+                    elif policy == GENERIC:
+                        aid2 = arbiters[tp].pick()
+                        if aid2 is None:
+                            continue
                     elif policy > 2:
                         q = queues[tp]
                         if not q:
@@ -584,11 +637,9 @@ def run_fast(sim: "Simulator", flavour: str = "numpy") -> SimulationResult:
                             duration = sample(
                                 app_str[aid2], name_of[aid2], tau[aid2], rng
                             )
-                        if duration <= 0:
-                            raise AnalysisError(
-                                "time model produced a non-positive "
-                                f"execution time ({duration}) for "
-                                f"{app_str[aid2]}.{name_of[aid2]}"
+                        if not 0.0 < duration < inf:
+                            raise duration_error(
+                                duration, app_str[aid2], name_of[aid2]
                             )
                     end = now + duration
                     busy_time[tp] += duration
@@ -669,7 +720,6 @@ def run_fast(sim: "Simulator", flavour: str = "numpy") -> SimulationResult:
         ]
     t_done = _time.perf_counter()
     sim._last_stats = EngineStats(
-        flavour=flavour,
         events_dispatched=events,
         stale_events=stale,
         preemptions=preemptions,

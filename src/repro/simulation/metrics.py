@@ -169,28 +169,16 @@ class EngineStats:
     Counts are exact; ``phase_seconds`` holds wall time per phase
     (``setup``: flattening + arbitration tables, ``step``: priming and
     the event loop, ``collect``: metrics/result assembly).  Cheap enough
-    to be always on — no cProfile needed to compare engine flavours.
+    to be always on — no cProfile needed to profile the engine.
     """
 
-    flavour: str
     events_dispatched: int
     stale_events: int
     preemptions: int
     phase_seconds: Dict[str, float] = field(default_factory=dict)
 
     def merge(self, other: "EngineStats") -> None:
-        """Accumulate ``other`` into this record (for suite totals).
-
-        Totals are only meaningful per engine flavour — pooling a numpy
-        run into a python profile would silently misattribute phase
-        times — so mixed-flavour merges are refused loudly.
-        """
-        if other.flavour != self.flavour:
-            raise AnalysisError(
-                f"cannot merge EngineStats of flavour {other.flavour!r} "
-                f"into {self.flavour!r}; pool per-flavour profiles "
-                "separately (profiles are keyed by the loop that ran)"
-            )
+        """Accumulate ``other`` into this record (for suite totals)."""
         self.events_dispatched += other.events_dispatched
         self.stale_events += other.stale_events
         self.preemptions += other.preemptions
@@ -201,7 +189,6 @@ class EngineStats:
 
     def format_table(self) -> str:
         lines = [
-            f"{'flavour':>18}  {self.flavour}",
             f"{'events dispatched':>18}  {self.events_dispatched}",
             f"{'stale events':>18}  {self.stale_events}",
             f"{'preemptions':>18}  {self.preemptions}",

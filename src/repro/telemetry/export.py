@@ -191,39 +191,32 @@ def simulation_trace_events(
 
 
 def engine_stats_events(
-    stats_by_flavour: Mapping[str, object],
+    stats: Optional[object],
     pid: int = ENGINE_PID,
     process_name: str = "DES engine phases",
 ) -> List[Dict[str, object]]:
-    """Sequential per-phase wall-clock events from ``EngineStats``
-    (setup / step / collect), one thread track per flavour."""
-    if not stats_by_flavour:
+    """Sequential per-phase wall-clock events from one ``EngineStats``
+    (setup / step / collect) on a single track."""
+    if stats is None:
         return []
     events: List[Dict[str, object]] = [
         _metadata(pid, 0, "process_name", name=process_name)
     ]
-    for tid, (flavour, stats) in enumerate(
-        sorted(stats_by_flavour.items()), start=1
-    ):
-        events.append(_metadata(pid, tid, "thread_name", name=flavour))
-        cursor = 0.0
-        for phase, seconds in stats.phase_seconds.items():
-            events.append(
-                {
-                    "name": phase,
-                    "ph": "X",
-                    "ts": cursor * 1e6,
-                    "dur": seconds * 1e6,
-                    "pid": pid,
-                    "tid": tid,
-                    "cat": "engine",
-                    "args": {
-                        "flavour": flavour,
-                        "events_dispatched": stats.events_dispatched,
-                    },
-                }
-            )
-            cursor += seconds
+    cursor = 0.0
+    for phase, seconds in stats.phase_seconds.items():
+        events.append(
+            {
+                "name": phase,
+                "ph": "X",
+                "ts": cursor * 1e6,
+                "dur": seconds * 1e6,
+                "pid": pid,
+                "tid": 1,
+                "cat": "engine",
+                "args": {"events_dispatched": stats.events_dispatched},
+            }
+        )
+        cursor += seconds
     return events
 
 
@@ -235,7 +228,7 @@ def write_chrome_trace(
     path: object,
     spans: Sequence[SpanRecord] = (),
     simulation_trace: Sequence[object] = (),
-    engine_stats: Optional[Mapping[str, object]] = None,
+    engine_stats: Optional[object] = None,
 ) -> Dict[str, object]:
     """Assemble all tracks into one ``trace_event`` document and write it.
 
@@ -243,8 +236,7 @@ def write_chrome_trace(
     tests without re-reading the file)."""
     events = chrome_trace_events(spans)
     events.extend(simulation_trace_events(simulation_trace))
-    if engine_stats:
-        events.extend(engine_stats_events(engine_stats))
+    events.extend(engine_stats_events(engine_stats))
     document = {
         "traceEvents": events,
         "displayTimeUnit": "ms",

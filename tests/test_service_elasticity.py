@@ -346,6 +346,48 @@ class TestLeave:
         assert name not in stats["shards"]
         assert stats["live_shards"] == 1
 
+    def test_probe_during_the_handoff_does_not_resurrect_the_leaver(self):
+        """Two health probes race ``leave``: one already in flight when
+        it starts, one landing during the (delayed) cache hand-off.  The
+        pre-fix router let either put the still-pingable shard back on
+        the ring, leaving a ghost ring node once it was forgotten."""
+
+        async def scenario(client, router, servers, addresses):
+            name = f"{addresses[0][0]}:{addresses[0][1]}"
+            shard = router._shards[name]
+            real = await router._client(shard)
+            handoff_started = asyncio.Event()
+
+            class DelayedHandoff:
+                async def ping(self):
+                    await handoff_started.wait()
+                    return await real.ping()
+
+                async def cache_export(self, **kwargs):
+                    handoff_started.set()
+                    await in_flight
+                    assert await router._probe(shard)
+                    # Admin verbs racing the hand-off are refused too.
+                    with pytest.raises(ServiceError, match="not part of"):
+                        await router.leave(name)
+                    with pytest.raises(ServiceError, match="is leaving"):
+                        await router.join(addresses[0])
+                    return await real.cache_export(**kwargs)
+
+                def __getattr__(self, attribute):
+                    return getattr(real, attribute)
+
+            shard.client = DelayedHandoff()
+            in_flight = asyncio.ensure_future(router._probe(shard))
+            await asyncio.sleep(0)
+            summary = await router.leave(name)
+            return summary, router
+
+        summary, router = fleet(scenario, shards=3)
+        assert summary["live_shards"] == 2
+        assert sorted(router._ring.nodes) == sorted(router._shards)
+        assert router.snapshot()["live_shards"] == 2
+
     def test_router_verbs_are_rejected_by_a_plain_server(self):
         async def scenario():
             server = EstimationServer(batch_window=0.0)

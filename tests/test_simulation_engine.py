@@ -176,6 +176,28 @@ class TestStopConditions:
         with pytest.raises(AnalysisError):
             SimulationConfig(target_iterations=2)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("warmup_fraction", 1.5, "warmup_fraction must be in"),
+            ("warmup_fraction", 1.0, "warmup_fraction must be in"),
+            ("warmup_fraction", -0.5, "warmup_fraction must be in"),
+            ("warmup_fraction", float("nan"), "warmup_fraction must be in"),
+            ("horizon", -1.0, "horizon must be positive"),
+            ("horizon", 0.0, "horizon must be positive"),
+            ("max_events", 0, "max_events must be at least 1"),
+        ],
+    )
+    def test_out_of_range_fields_rejected(self, field, value, message):
+        with pytest.raises(AnalysisError, match=message):
+            SimulationConfig(**{field: value})
+
+    def test_range_edges_accepted(self):
+        config = SimulationConfig(
+            warmup_fraction=0.0, horizon=1e-9, max_events=1
+        )
+        assert config.warmup_fraction == 0.0
+
     def test_horizon_too_short_raises(self, app_a):
         with pytest.raises(AnalysisError):
             simulate(

@@ -25,7 +25,7 @@ import pytest
 
 import repro
 from repro.conformance import _engine_profile_delta, _engine_profile_snapshot
-from repro.exceptions import AnalysisError, TelemetryError
+from repro.exceptions import TelemetryError
 from repro.runtime.service import GallerySpec
 from repro.service.cache import ResultCache
 from repro.service.client import ServiceClient
@@ -438,13 +438,13 @@ class TestExporters:
 
     def test_engine_stats_events_lay_phases_end_to_end(self):
         stats = EngineStats(
-            flavour="numpy",
             events_dispatched=10,
             stale_events=0,
             preemptions=0,
             phase_seconds={"setup": 0.5, "step": 1.5},
         )
-        events = engine_stats_events({"numpy": stats})
+        assert engine_stats_events(None) == []
+        events = engine_stats_events(stats)
         complete = [event for event in events if event["ph"] == "X"]
         assert [event["name"] for event in complete] == ["setup", "step"]
         assert complete[1]["ts"] == pytest.approx(complete[0]["dur"])
@@ -461,15 +461,12 @@ class TestExporters:
                     processor="p0", application="A", actor="a", start=0, end=1
                 )
             ],
-            engine_stats={
-                "python": EngineStats(
-                    flavour="python",
-                    events_dispatched=1,
-                    stale_events=0,
-                    preemptions=0,
-                    phase_seconds={"step": 0.1},
-                )
-            },
+            engine_stats=EngineStats(
+                events_dispatched=1,
+                stale_events=0,
+                preemptions=0,
+                phase_seconds={"step": 0.1},
+            ),
         )
         assert json.loads(path.read_text(encoding="utf-8")) == document
         pids = {event["pid"] for event in document["traceEvents"]}
@@ -534,71 +531,51 @@ class TestExporters:
 # Engine profile plumbing (conformance --profile)
 # ----------------------------------------------------------------------
 class TestEngineProfile:
-    def test_engine_stats_merge_refuses_mixed_flavours(self):
+    def test_engine_stats_merge_accumulates(self):
         ours = EngineStats(
-            flavour="python",
             events_dispatched=2,
             stale_events=1,
             preemptions=0,
             phase_seconds={"step": 0.5},
         )
-        same = EngineStats(
-            flavour="python",
-            events_dispatched=3,
-            stale_events=0,
-            preemptions=2,
-            phase_seconds={"step": 0.25, "setup": 0.1},
+        ours.merge(
+            EngineStats(
+                events_dispatched=3,
+                stale_events=0,
+                preemptions=2,
+                phase_seconds={"step": 0.25, "setup": 0.1},
+            )
         )
-        ours.merge(same)
         assert ours.events_dispatched == 5
+        assert ours.stale_events == 1
         assert ours.preemptions == 2
         assert ours.phase_seconds["step"] == pytest.approx(0.75)
-        alien = EngineStats(
-            flavour="numpy",
-            events_dispatched=1,
-            stale_events=0,
-            preemptions=0,
-        )
-        with pytest.raises(AnalysisError, match="cannot merge"):
-            ours.merge(alien)
+        assert ours.phase_seconds["setup"] == pytest.approx(0.1)
 
     def test_profile_delta_scopes_registry_growth(self):
-        before = {
-            "python": EngineStats(
-                flavour="python",
-                events_dispatched=10,
-                stale_events=1,
-                preemptions=0,
-                phase_seconds={"step": 1.0},
-            )
-        }
-        after = {
-            "python": EngineStats(
-                flavour="python",
-                events_dispatched=15,
-                stale_events=1,
-                preemptions=2,
-                phase_seconds={"step": 1.5, "setup": 0.0},
-            ),
-            "numpy": EngineStats(
-                flavour="numpy",
-                events_dispatched=0,
-                stale_events=0,
-                preemptions=0,
-            ),
-        }
+        before = EngineStats(
+            events_dispatched=10,
+            stale_events=1,
+            preemptions=0,
+            phase_seconds={"step": 1.0},
+        )
+        after = EngineStats(
+            events_dispatched=15,
+            stale_events=1,
+            preemptions=2,
+            phase_seconds={"step": 1.5, "setup": 0.0},
+        )
         delta = _engine_profile_delta(before, after)
-        assert set(delta) == {"python"}  # idle flavours are dropped
-        assert delta["python"].events_dispatched == 5
-        assert delta["python"].preemptions == 2
-        assert delta["python"].phase_seconds == {"step": pytest.approx(0.5)}
+        assert delta.events_dispatched == 5
+        assert delta.preemptions == 2
+        assert delta.phase_seconds == {"step": pytest.approx(0.5)}
+        # An idle window has no profile.
+        assert _engine_profile_delta(after, after) is None
 
     def test_snapshot_reads_back_recorded_runs(self):
-        flavour = "test_profile_flavour"
         before = _engine_profile_snapshot()
         record_engine_stats(
             EngineStats(
-                flavour=flavour,
                 events_dispatched=7,
                 stale_events=2,
                 preemptions=1,
@@ -606,10 +583,10 @@ class TestEngineProfile:
             )
         )
         delta = _engine_profile_delta(before, _engine_profile_snapshot())
-        assert delta[flavour].events_dispatched == 7
-        assert delta[flavour].stale_events == 2
-        assert delta[flavour].preemptions == 1
-        assert delta[flavour].phase_seconds["step"] == pytest.approx(0.125)
+        assert delta.events_dispatched == 7
+        assert delta.stale_events == 2
+        assert delta.preemptions == 1
+        assert delta.phase_seconds["step"] == pytest.approx(0.125)
 
 
 # ----------------------------------------------------------------------
