@@ -521,10 +521,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0.0,
         metavar="SECONDS",
         help=(
-            "router micro-batching: linger this long so same-gallery "
-            "estimates from different client connections coalesce "
-            "into one framed estimate_batch per shard hop (0 = off, "
-            "forward query-by-query)"
+            "router micro-batching: the first estimate of a gallery "
+            "waits this long so same-gallery estimates from other "
+            "client connections ride in its framed estimate_batch "
+            "shard hop (0 = no wait)"
         ),
     )
     route.add_argument(

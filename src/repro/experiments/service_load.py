@@ -7,10 +7,10 @@ see — with a fully in-process, reproducible experiment: an
 port, ``clients`` concurrent :class:`~repro.service.client
 .ServiceClient` connections, each issuing ``queries_per_client``
 questions drawn from a per-client seeded RNG over the gallery's
-non-empty use-cases.  Client-observed latencies land in a telemetry
-:class:`~repro.telemetry.Histogram` (the same instrument family the
-server exposes), so the latency percentiles of the report, the
-``metrics`` exposition and any scrape all read one source of truth.
+non-empty use-cases.  Client-observed latencies are kept as raw
+samples, and the report's percentiles are their exact nearest-rank
+values; they also land in a telemetry
+:class:`~repro.telemetry.Histogram` for the ``metrics`` exposition.
 The report carries throughput, latency percentiles and the server-side
 micro-batching/cache/shedding counters, so one run shows *why* the
 throughput number is what it is.
@@ -62,6 +62,7 @@ from repro.runtime.service import GallerySpec
 from repro.service.cache import ResultCache
 from repro.service.client import ServiceClient
 from repro.service.pool import EnginePool
+from repro.service.protocol import wire_gallery
 from repro.service.router import ShardRouter
 from repro.service.server import EstimationServer
 from repro.telemetry import (
@@ -74,9 +75,8 @@ from repro.telemetry import (
     write_chrome_trace,
 )
 
-#: Client-side latency bounds: 10 µs .. 10 s, four buckets per decade —
-#: tight enough that nearest-rank quantiles off the buckets track the
-#: exact-sample percentiles the report used to hand-roll.
+#: Client-side latency histogram bounds (exposition only): 10 µs ..
+#: 10 s, four buckets per decade.
 LATENCY_BUCKETS = log_buckets(1e-5, 10.0)
 
 #: Open-loop arrival processes (plus ``closed``, the classic
@@ -193,6 +193,8 @@ class LoadReport:
     retries: int = 0
     router: Optional[Dict[str, object]] = None
     churn_events: List[Dict[str, object]] = field(default_factory=list)
+    #: Every answered query's client-observed latency, in answer order.
+    latencies_ms: List[float] = field(default_factory=list)
 
     def render(self) -> str:
         rows = [
@@ -329,14 +331,11 @@ async def _run_client(
     client: ServiceClient,
     client_index: int,
     latency: Histogram,
+    samples: List[float],
     errors: List[str],
 ) -> None:
     """One logical client: its seeded plan over a (shared) connection."""
-    gallery = {
-        "kind": config.gallery.kind,
-        "seed": config.gallery.seed,
-        "applications": config.gallery.application_count,
-    }
+    gallery = wire_gallery(config.gallery)
     plan = _client_plan(config, client_index)
     delays = _client_delays(config, client_index)
     for query_index, (use_case, delay) in enumerate(zip(plan, delays)):
@@ -354,7 +353,9 @@ async def _run_client(
         except ServiceError as error:
             errors.append(str(error))
             continue
-        latency.observe(_time.perf_counter() - started)
+        seconds = _time.perf_counter() - started
+        latency.observe(seconds)
+        samples.append(seconds * 1e3)
 
 
 async def _run_churn(
@@ -387,11 +388,7 @@ async def _run_churn(
             )
         )
 
-    gallery = {
-        "kind": config.gallery.kind,
-        "seed": config.gallery.seed,
-        "applications": config.gallery.application_count,
-    }
+    gallery = wire_gallery(config.gallery)
     try:
         await asyncio.sleep(0.05)
         joined = await admin.join(f"{spare_address[0]}:{spare_address[1]}")
@@ -549,6 +546,7 @@ async def _run(config: LoadConfig) -> LoadReport:
     metrics_server = None
     scraped: Optional[str] = None
     errors: List[str] = []
+    samples: List[float] = []
     connection_count = min(
         config.connections
         if config.connections is not None
@@ -573,6 +571,7 @@ async def _run(config: LoadConfig) -> LoadReport:
                 connections[index % connection_count],
                 index,
                 latency,
+                samples,
                 errors,
             )
             for index in range(config.clients)
@@ -618,13 +617,14 @@ async def _run(config: LoadConfig) -> LoadReport:
             scraped if scraped is not None else exposition,
             encoding="utf-8",
         )
-    queries = latency.count
+    queries = len(samples)
     cache: Dict[str, object] = stats["cache"]  # type: ignore[assignment]
+    ranked = sorted(samples)
 
     def latency_ms(fraction: float) -> float:
-        # All-error runs have no latencies; the report must still come
-        # back (errors=N is the finding, not a crash).
-        return latency.quantile(fraction) * 1e3 if queries else 0.0
+        # Nearest rank.  All-error runs have no latencies; the report
+        # must still come back (errors=N is the finding, not a crash).
+        return ranked[max(1, math.ceil(fraction * queries)) - 1] if queries else 0.0
 
     return LoadReport(
         queries=queries,
@@ -652,6 +652,7 @@ async def _run(config: LoadConfig) -> LoadReport:
         ),
         router=router_stats,
         churn_events=churn_events,
+        latencies_ms=samples,
     )
 
 
@@ -698,9 +699,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=0.0,
         metavar="MS",
         help=(
-            "router micro-batching window: coalesce same-gallery "
-            "queries across connections into one framed hop per shard "
-            "(0 = off, forward query-by-query)"
+            "router micro-batching window: same-gallery queries "
+            "across connections arriving within it share one framed "
+            "hop per shard (0 = no wait)"
         ),
     )
     parser.add_argument(

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis_engine import AnalysisEngine, build_engines
 from repro.core.estimator import ProbabilisticEstimator
 from repro.exceptions import ServiceError
 from repro.runtime.service import GallerySpec
 from repro.sdf.analysis import AnalysisMethod
+from repro.service.protocol import Query
 from repro.telemetry import MetricsRegistry, get_registry
 
 
@@ -146,6 +147,33 @@ class EnginePool:
             self._metric_estimators.inc()
             entry.estimators[(model, method.value)] = estimator
         return estimator
+
+    def solve(
+        self, queries: Sequence[Query], iterations: int
+    ) -> List[Dict[str, object]]:
+        """One batched solve of a ``(gallery, model, method)`` group;
+        returns one answer payload per query, in query order.
+
+        The queries share gallery, model and method by construction, so
+        one warm estimator's ``estimate_many`` answers them all — the
+        micro-batching payoff.
+        """
+        first = queries[0]
+        estimator = self.estimator(first.gallery, first.model, first.method)
+        results = estimator.estimate_many(
+            [query.use_case for query in queries], iterations=iterations
+        )
+        return [
+            {
+                "gallery": first.gallery.label(),
+                "use_case": list(query.use_case.applications),
+                "model": first.model,
+                "method": first.method.value,
+                "periods": dict(result.periods),
+                "isolation": dict(result.isolation_periods),
+            }
+            for query, result in zip(queries, results)
+        ]
 
     def invalidate(self, spec: GallerySpec) -> bool:
         """Drop a gallery's warm state (its graphs/qualities changed).

@@ -31,9 +31,9 @@ Requests::
      {...payload...}], ...]}
 
 ``estimate_batch`` asks one gallery several use-case questions in a
-single framed message — the router's micro-batcher coalesces same-
-gallery queries from many client connections into one of these per
-shard hop.  ``cache_export``/``cache_import`` move warm cached answers
+single framed message — the router forwards every estimate as one of
+these per shard hop, coalescing same-gallery queries from many client
+connections into it.  ``cache_export``/``cache_import`` move warm cached answers
 between shards: the resharding hand-off that warms a joining shard and
 the ring-neighbour replication that survives a shard death both ride
 on them.  The router additionally understands ``join``/``leave`` admin
@@ -48,13 +48,26 @@ Responses::
 
     {"id": 2, "ok": true, "result": {"periods": {...}, ...}}
     {"id": 2, "ok": false, "error": "..."}
+
+:class:`JsonLinesEndpoint` is the one front end speaking this protocol
+for both the server and the router: listener, per-connection read loop
+and op dispatch.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import (
+    Awaitable,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.registry import validate_model_spec
 from repro.exceptions import ServiceError
@@ -62,6 +75,13 @@ from repro.experiments.setup import DEFAULT_SEED
 from repro.platform.usecase import UseCase
 from repro.runtime.service import GallerySpec, ResultStore
 from repro.sdf.analysis import AnalysisMethod
+from repro.telemetry import (
+    MetricsRegistry,
+    Tracer,
+    get_registry,
+    render_merged,
+    snapshot_merged,
+)
 
 #: Protocol revision, reported by ``ping`` and ``stats``.
 #: 2: ``estimate_batch``, ``cache_export``/``cache_import`` and the
@@ -71,23 +91,6 @@ PROTOCOL_VERSION = 2
 #: Upper bound on one encoded message; a malformed client that streams
 #: an unterminated line must not grow the server's buffer unboundedly.
 MAX_MESSAGE_BYTES = 1 << 20
-
-#: Operations the server understands.
-OPERATIONS: Tuple[str, ...] = (
-    "ping",
-    "estimate",
-    "estimate_batch",
-    "place",
-    "stats",
-    "metrics",
-    "invalidate",
-    "cache_export",
-    "cache_import",
-    "shutdown",
-)
-
-#: Router-only admin verbs (live resharding), on top of OPERATIONS.
-ROUTER_OPERATIONS: Tuple[str, ...] = ("join", "leave")
 
 #: Upper bound on use-cases one ``estimate_batch`` message may carry —
 #: a framed batch must stay well inside ``MAX_MESSAGE_BYTES``.
@@ -151,6 +154,16 @@ def parse_gallery(data: object) -> GallerySpec:
         raise ServiceError(f"bad gallery recipe: {error}") from None
 
 
+def wire_gallery(spec: GallerySpec) -> Dict[str, object]:
+    """The ``gallery`` payload naming ``spec`` — the inverse of
+    :func:`parse_gallery`."""
+    return {
+        "kind": spec.kind,
+        "seed": spec.seed,
+        "applications": spec.application_count,
+    }
+
+
 @dataclass(frozen=True)
 class Query:
     """One estimation question, normalized for batching and caching."""
@@ -181,6 +194,29 @@ class Query:
             model=model,
             method=self.method,
         )
+
+
+def unique_queries(
+    members: Sequence[object],
+) -> Tuple[Dict[Tuple[str, str, str, str], Query], Tuple[str, ...]]:
+    """Deduplicate one batch group's members by query key and collect
+    their distinct trace ids, both in arrival order.
+
+    ``members`` carry ``query`` and ``trace_id`` attributes (the
+    server's and the router's queued entries): N clients asking the
+    same question inside one batch cost one estimate.
+    """
+    unique: Dict[Tuple[str, str, str, str], Query] = {}
+    for member in members:
+        unique.setdefault(member.query.key, member.query)  # type: ignore[attr-defined]
+    trace_ids = tuple(
+        dict.fromkeys(
+            member.trace_id  # type: ignore[attr-defined]
+            for member in members
+            if member.trace_id is not None  # type: ignore[attr-defined]
+        )
+    )
+    return unique, trace_ids
 
 
 def _parse_use_case(raw_use_case: object, gallery: GallerySpec) -> UseCase:
@@ -520,3 +556,228 @@ def resolve_trace_id(payload: Dict[str, object]) -> Optional[str]:
             f"request 'trace' exceeds {MAX_TRACE_ID_LENGTH} characters"
         )
     return trace_id
+
+
+#: An op handler: ``(payload, trace_id, connection token)`` in, the
+#: response's ``result`` out.
+Handler = Callable[[Dict[str, object], Optional[str], object], Awaitable[object]]
+
+
+class JsonLinesEndpoint:
+    """The JSON-lines front end shared by the server and the router.
+
+    It owns the TCP listener, the per-connection read loop, the op
+    dispatch and the ``metrics``/``shutdown`` ops; a subclass supplies
+    the op table, its metrics registry, its request and error counters,
+    and the name of the span every request is served in.
+
+    Requests on one connection run concurrently, one task per line, so
+    a client can pipeline questions and match answers back by id; a
+    per-connection lock keeps responses whole.  Any exception a handler
+    raises becomes an ``error_response`` and counts as an error: every
+    request gets *an* answer.
+    """
+
+    def __init__(
+        self,
+        operations: Dict[str, Handler],
+        registry: MetricsRegistry,
+        tracer: Tracer,
+        count_request: Callable[[], None],
+        count_error: Callable[[], None],
+        request_span: str,
+    ) -> None:
+        self.operations = operations
+        self.registry = registry
+        self.tracer = tracer
+        self._count_request = count_request
+        self._count_error = count_error
+        self._request_span = request_span
+        self._stop = asyncio.Event()
+        self._server: Optional[asyncio.AbstractServer] = None
+        self._writers: "set[asyncio.StreamWriter]" = set()
+        self._closing = False
+        self.address: Optional[Tuple[str, int]] = None
+
+    async def start(self, host: str = "127.0.0.1", port: int = 0) -> Tuple[str, int]:
+        """Listen on TCP ``host:port`` (0 = ephemeral); returns the
+        bound address."""
+        if self._server is not None:
+            raise ServiceError(f"{type(self).__name__} already started")
+        self._server = await asyncio.start_server(
+            self._serve_connection,
+            host=host,
+            port=port,
+            # Twice the message bound: an over-long line fails the read
+            # ("message too long") instead of growing the buffer.
+            limit=2 * MAX_MESSAGE_BYTES,
+        )
+        bound = self._server.sockets[0].getsockname()
+        self.address = (bound[0], bound[1])
+        return self.address
+
+    async def wait_shutdown(self) -> None:
+        """Block until a client sends ``shutdown`` (or ``aclose``)."""
+        await self._stop.wait()
+
+    def _stop_accepting(self) -> None:
+        """First step of a graceful close: refuse new work and new
+        connections; open connections keep being served."""
+        self._closing = True
+        self._stop.set()
+        if self._server is not None:
+            self._server.close()
+
+    async def _close_connections(self) -> None:
+        """Close every client connection and the listener."""
+        for writer in list(self._writers):
+            try:
+                writer.close()
+            except (ConnectionError, BrokenPipeError):
+                pass
+        if self._server is not None:
+            # On >= 3.12 this also waits for connection handlers; the
+            # transports just closed, so their readline sees EOF and
+            # every handler returns promptly.
+            await self._server.wait_closed()
+            self._server = None
+
+    def _drop_disconnected(self, conn: object) -> None:
+        """Hook: the connection with token ``conn`` stopped reading."""
+
+    def render_metrics(self) -> str:
+        """Prometheus exposition: this front end's registry merged with
+        the process-global one (engine, estimator and DES counters)."""
+        return render_merged(self.registry, get_registry())
+
+    def metrics_snapshot(self) -> Dict[str, object]:
+        """JSON snapshot of the same merged registries."""
+        return snapshot_merged(self.registry, get_registry())
+
+    async def _metrics(self, *_: object) -> Dict[str, object]:
+        return {
+            "exposition": self.render_metrics(),
+            "snapshot": self.metrics_snapshot(),
+        }
+
+    async def _shutdown(self, *_: object) -> Dict[str, object]:
+        return {"stopping": True}
+
+    async def _serve_connection(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+    ) -> None:
+        self._writers.add(writer)
+        try:
+            await self._serve_stream(reader, writer)
+        finally:
+            self._writers.discard(writer)
+            try:
+                writer.close()
+                await writer.wait_closed()
+            except (ConnectionError, BrokenPipeError):
+                pass
+
+    async def _serve_stream(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+    ) -> None:
+        """Serve one stream until EOF, ``shutdown`` or an over-long
+        line; requests still in flight are drained before returning."""
+        send_lock = asyncio.Lock()
+        tasks: "set[asyncio.Task[None]]" = set()
+        loop = asyncio.get_running_loop()
+        # Connection token handed to every handler, so state a request
+        # leaves behind can be reaped when the client goes away.
+        conn = object()
+        try:
+            while True:
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Line exceeded the stream limit: protocol abuse.
+                    await self._send(
+                        writer,
+                        error_response(None, "message too long"),
+                        send_lock,
+                    )
+                    break
+                if not line:
+                    break
+                if not line.strip():
+                    continue
+                try:
+                    payload = decode_message(line)
+                except ServiceError as error:
+                    self._count_request()
+                    self._count_error()
+                    await self._send(
+                        writer, error_response(None, str(error)), send_lock
+                    )
+                    continue
+                request = self._serve_request(payload, writer, send_lock, conn)
+                if payload.get("op") == "shutdown":
+                    # Served inline so this read loop stops cleanly;
+                    # in-flight tasks still drain below.
+                    await request
+                    break
+                task = loop.create_task(request)
+                tasks.add(task)
+                task.add_done_callback(tasks.discard)
+        except (ConnectionError, BrokenPipeError):
+            pass
+        finally:
+            self._drop_disconnected(conn)
+            if tasks:
+                await asyncio.gather(*tasks, return_exceptions=True)
+
+    async def _serve_request(
+        self,
+        payload: Dict[str, object],
+        writer: asyncio.StreamWriter,
+        send_lock: asyncio.Lock,
+        conn: object,
+    ) -> None:
+        """Answer one decoded request through the op table."""
+        self._count_request()
+        request_id: object = None
+        op = payload.get("op")
+        try:
+            request_id = resolve_request_id(payload)
+            trace_id = resolve_trace_id(payload)
+            with self.tracer.span(self._request_span, trace_id=trace_id, op=str(op)):
+                handler = self.operations.get(op) if isinstance(op, str) else None
+                if handler is None:
+                    raise ServiceError(
+                        f"unknown op {op!r} "
+                        f"(expected one of {', '.join(self.operations)})"
+                    )
+                response = ok_response(
+                    request_id, await handler(payload, trace_id, conn)
+                )
+        except Exception as error:
+            self._count_error()
+            response = error_response(request_id, str(error))
+            op = None
+        try:
+            await self._send(writer, response, send_lock)
+        finally:
+            # An accepted shutdown stops the front end even when the
+            # requester vanished before reading the acknowledgement.
+            if op == "shutdown":
+                self._stop.set()
+
+    async def _send(
+        self,
+        writer: asyncio.StreamWriter,
+        payload: Dict[str, object],
+        send_lock: asyncio.Lock,
+    ) -> None:
+        async with send_lock:
+            try:
+                writer.write(encode_message(payload))
+                await writer.drain()
+            except (ConnectionError, BrokenPipeError):
+                pass  # the client went away; the response has nowhere to go

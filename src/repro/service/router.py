@@ -17,8 +17,9 @@ and one engine pool.  The fleet layer runs N server processes
   :class:`~repro.service.client.ServiceClient` connection (requests
   pipeline, responses match by id), so the router adds sockets
   proportional to shards, not clients;
-* shards are **health-checked** via the protocol's ``ping``; a shard
-  that dies (connection refused/reset/EOF) leaves the ring, its
+* shards are **health-checked** via the protocol's ``ping``, each
+  bounded by the health interval; a shard that dies (connection
+  refused/reset/EOF) or stops answering leaves the ring, its
   galleries re-home to the surviving shards, and the estimate that
   observed the death is **retried** there — estimates are idempotent
   queries, so failover is invisible to clients beyond latency.
@@ -44,12 +45,12 @@ The fleet is **elastic** (PR 10):
   the next ``replication`` shards in ring order, so a shard death no
   longer cold-starts its key space: the failover read hits the
   replica in the neighbour's result cache instead of re-solving.
-* with ``batch_window > 0`` the router **micro-batches**: estimate
-  queries arriving across client connections within the window are
-  grouped by ``(gallery, model, method)``, deduplicated by query key
-  and forwarded as one framed ``estimate_batch`` message per shard
-  hop — N concurrent questions cost one round-trip of framing instead
-  of N (the same grouping/dedup discipline as the server's batcher).
+* every estimate travels to its shard in a framed ``estimate_batch``
+  hop, and the router **micro-batches**: the first query of a
+  ``(gallery, model, method)`` group waits ``batch_window`` seconds,
+  and the same-group queries arriving meanwhile, from any client
+  connection, are deduplicated by query key and ride in its hop — N
+  concurrent questions cost one round-trip of framing instead of N.
 
 ``stats``/``metrics`` aggregate the router's own counters with every
 live shard's; ``invalidate`` broadcasts (any shard may have served the
@@ -78,25 +79,16 @@ from repro.service.client import ServiceClient
 from repro.service.hashring import HashRing
 from repro.service.protocol import (
     PROTOCOL_VERSION,
+    JsonLinesEndpoint,
     Query,
-    decode_message,
-    encode_message,
-    error_response,
-    ok_response,
     parse_estimate,
     parse_estimate_batch,
     parse_gallery,
     parse_place,
-    resolve_request_id,
-    resolve_trace_id,
+    unique_queries,
+    wire_gallery,
 )
-from repro.telemetry import (
-    MetricsRegistry,
-    Tracer,
-    get_registry,
-    render_merged,
-    snapshot_merged,
-)
+from repro.telemetry import MetricsRegistry, Tracer
 
 _T = TypeVar("_T")
 
@@ -144,14 +136,14 @@ class _Shard:
 
 @dataclass
 class _RoutedQuery:
-    """One client estimate waiting inside the router's micro-batcher."""
+    """One client estimate waiting for its shard hop."""
 
     query: Query
     trace_id: Optional[str]
     future: "asyncio.Future[Dict[str, object]]"
 
 
-class ShardRouter:
+class ShardRouter(JsonLinesEndpoint):
     """Consistent-hash front-end over estimation-server shards.
 
     Parameters
@@ -166,10 +158,10 @@ class ShardRouter:
         How many *additional* shards a failed-over estimate may try
         before reporting failure (bounded by the live shard count).
     batch_window:
-        Seconds the router's micro-batcher lingers so same-gallery
-        estimates from different client connections coalesce into one
-        framed ``estimate_batch`` per shard hop.  ``0`` (default)
-        forwards estimate-by-estimate — the pre-elasticity behaviour.
+        Seconds the first estimate of a ``(gallery, model, method)``
+        group waits before its hop, so same-group estimates from other
+        client connections ride in the same framed ``estimate_batch``.
+        ``0`` (default) forwards at once.
     max_batch:
         Most queries one framed shard hop may carry.
     replication:
@@ -213,10 +205,8 @@ class ShardRouter:
             raise ServiceError(
                 f"handoff_limit must be >= 0, got {handoff_limit}"
             )
-        self.registry = (
-            registry if registry is not None else MetricsRegistry(enabled=True)
-        )
-        self.tracer = tracer if tracer is not None else Tracer()
+        if registry is None:
+            registry = MetricsRegistry(enabled=True)
         self.health_interval = health_interval
         self.max_retries = max_retries
         self.batch_window = batch_window
@@ -230,7 +220,7 @@ class ShardRouter:
                 raise ServiceError(f"duplicate shard address {name!r}")
             self._shards[name] = _Shard(name=name, address=(host, port))
         self._ring = HashRing(list(self._shards))
-        counter = self.registry.counter
+        counter = registry.counter
         self._metric_requests = counter(
             "repro_router_requests_total",
             "Requests received by the shard router",
@@ -263,12 +253,12 @@ class ShardRouter:
         )
         self._metric_batches = counter(
             "repro_router_batches_total",
-            "Micro-batched estimate groups forwarded as one shard hop",
+            "Estimate hops forwarded to shards, one framed batch each",
             always=True,
         )
         self._metric_batched_queries = counter(
             "repro_router_batched_queries_total",
-            "Client estimates coalesced by the router micro-batcher",
+            "Client estimates carried by estimate hops",
             always=True,
         )
         self._metric_replications = counter(
@@ -308,54 +298,45 @@ class ShardRouter:
         #: Labels whose broadcast is mid-flight — forwards during the
         #: broadcast race it benignly and are not a protocol violation.
         self._invalidating: "set[str]" = set()
-        #: Micro-batcher state (active only when ``batch_window > 0``).
+        #: Estimates waiting for their group's hop, by group.
         self._pending: Dict[
             Tuple[str, str, str], List[_RoutedQuery]
         ] = {}
-        self._arrival: Optional[asyncio.Event] = None
-        self._batcher: Optional["asyncio.Task[None]"] = None
-        self._group_tasks: "set[asyncio.Task[None]]" = set()
         self._replica_tasks: "set[asyncio.Task[None]]" = set()
-        self._server: Optional[asyncio.AbstractServer] = None
         self._health_task: Optional["asyncio.Task[None]"] = None
-        self._writers: "set[asyncio.StreamWriter]" = set()
-        self._stop: Optional[asyncio.Event] = None
-        self._closing = False
-        self.address: Optional[Tuple[str, int]] = None
+        super().__init__(
+            {
+                "ping": self._ping,
+                "estimate": self._forward_estimate,
+                "estimate_batch": self._forward_estimate_batch,
+                "place": self._forward_place,
+                "stats": self._stats,
+                "metrics": self._metrics,
+                "invalidate": self._broadcast_invalidate,
+                "join": self._join,
+                "leave": self._leave,
+                "shutdown": self._shutdown,
+            },
+            registry=registry,
+            tracer=tracer if tracer is not None else Tracer(),
+            count_request=self._metric_requests.inc,
+            count_error=self._metric_errors.inc,
+            request_span="router.request",
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    async def start(
-        self, host: str = "127.0.0.1", port: int = 0
-    ) -> Tuple[str, int]:
-        if self._server is not None:
-            raise ServiceError("router already started")
-        self._stop = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            host=host,
-            port=port,
-            limit=2 * 1024 * 1024,
-        )
-        bound = self._server.sockets[0].getsockname()
-        self.address = (bound[0], bound[1])
-        loop = asyncio.get_running_loop()
+    async def start(self, host: str = "127.0.0.1", port: int = 0) -> Tuple[str, int]:
+        address = await super().start(host, port)
         if self.health_interval > 0:
-            self._health_task = loop.create_task(self._health_loop())
-        if self.batch_window > 0:
-            self._arrival = asyncio.Event()
-            self._batcher = loop.create_task(self._batch_loop())
-        return self.address
-
-    async def wait_shutdown(self) -> None:
-        assert self._stop is not None, "router not started"
-        await self._stop.wait()
+            self._health_task = asyncio.get_running_loop().create_task(
+                self._health_loop()
+            )
+        return address
 
     async def aclose(self) -> None:
-        self._closing = True
-        if self._stop is not None:
-            self._stop.set()
+        self._stop_accepting()
         if self._health_task is not None:
             self._health_task.cancel()
             try:
@@ -363,33 +344,11 @@ class ShardRouter:
             except asyncio.CancelledError:
                 pass
             self._health_task = None
-        if self._batcher is not None:
-            # Drain the micro-batcher to real answers (or errors) —
-            # enqueued clients are still awaiting their futures.
-            assert self._arrival is not None
-            self._arrival.set()
-            while any(self._pending.values()) or self._group_tasks:
-                await asyncio.sleep(0.005)
-            self._batcher.cancel()
-            try:
-                await self._batcher
-            except asyncio.CancelledError:
-                pass
-            self._batcher = None
         if self._replica_tasks:
             await asyncio.gather(
                 *list(self._replica_tasks), return_exceptions=True
             )
-        if self._server is not None:
-            self._server.close()
-        for writer in list(self._writers):
-            try:
-                writer.close()
-            except (ConnectionError, BrokenPipeError):
-                pass
-        if self._server is not None:
-            await self._server.wait_closed()
-            self._server = None
+        await self._close_connections()
         for shard in self._shards.values():
             if shard.client is not None:
                 await shard.client.aclose()
@@ -456,17 +415,32 @@ class ShardRouter:
             self._metric_replayed.inc()
         return replayed
 
+    async def _ping_shard(self, shard: _Shard) -> None:
+        await (await self._client(shard)).ping()
+
     async def _probe(self, shard: _Shard) -> bool:
         """One health ping; flips the shard up or down accordingly.
 
-        A down shard only comes back up once every gallery invalidation
-        it slept through has been replayed — an unreplayable shard
-        stays off the ring (the stale-rejoin fix)."""
+        The ping is bounded by ``health_interval``: a shard that accepts
+        connections but never answers is down, and must neither stall
+        the fleet's health sweep nor keep its galleries.  A down shard
+        only comes back up once every gallery invalidation it slept
+        through has been replayed — an unreplayable shard stays off the
+        ring (the stale-rejoin fix)."""
         try:
-            await (await self._client(shard)).ping()
+            await asyncio.wait_for(
+                self._ping_shard(shard), self.health_interval or None
+            )
             if not shard.healthy:
                 await self._replay_invalidations(shard)
-        except (ServiceConnectionError, ConnectionError, OSError):
+        except (
+            ServiceConnectionError,
+            ConnectionError,
+            OSError,
+            asyncio.TimeoutError,
+        ):
+            # Marking down also closes the client, so forwards hung on
+            # an unanswering shard fail over.
             self._mark_down(shard)
             return False
         except ServiceError:
@@ -592,7 +566,7 @@ class ShardRouter:
             }
         shard = _Shard(name=name, address=address)
         try:
-            await (await self._client(shard)).ping()
+            await self._ping_shard(shard)
         except (ServiceConnectionError, ConnectionError, OSError) as error:
             raise ServiceError(
                 f"cannot join unreachable shard {name!r}: {error}"
@@ -717,296 +691,87 @@ class ShardRouter:
         }
 
     # ------------------------------------------------------------------
-    # Front-end protocol
+    # Operations: ``(payload, trace_id, conn)`` in, the result out
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        self._writers.add(writer)
-        send_lock = asyncio.Lock()
-        tasks: "set[asyncio.Task[None]]" = set()
-        loop = asyncio.get_running_loop()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    await self._send(
-                        writer,
-                        error_response(None, "message too long"),
-                        send_lock,
-                    )
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    payload = decode_message(line)
-                except Exception as error:
-                    self._metric_requests.inc()
-                    self._metric_errors.inc()
-                    await self._send(
-                        writer, error_response(None, str(error)), send_lock
-                    )
-                    continue
-                if payload.get("op") == "shutdown":
-                    await self._serve_payload(payload, writer, send_lock)
-                    break
-                task = loop.create_task(
-                    self._serve_payload(payload, writer, send_lock)
-                )
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-        except (ConnectionError, BrokenPipeError):
-            pass
-        finally:
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-            self._writers.discard(writer)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):
-                pass
+    async def _ping(self, *_: object) -> Dict[str, object]:
+        return {
+            "pong": True,
+            "protocol": PROTOCOL_VERSION,
+            "router": True,
+            "shards": self.shard_health(),
+        }
 
-    async def _send(
-        self,
-        writer: asyncio.StreamWriter,
-        payload: Dict[str, object],
-        send_lock: asyncio.Lock,
-    ) -> None:
-        async with send_lock:
-            try:
-                writer.write(encode_message(payload))
-                await writer.drain()
-            except (ConnectionError, BrokenPipeError):
-                pass  # client went away
+    async def _join(self, payload: Dict[str, object], *_: object) -> Dict[str, object]:
+        return await self.join(parse_shard_address(str(payload.get("shard", ""))))
 
-    async def _serve_payload(
-        self,
-        payload: Dict[str, object],
-        writer: asyncio.StreamWriter,
-        send_lock: asyncio.Lock,
-    ) -> None:
-        self._metric_requests.inc()
-        request_id: object = None
-        op = payload.get("op")
-        try:
-            request_id = resolve_request_id(payload)
-            with self.tracer.span("router.request", op=str(op)):
-                if op == "ping":
-                    response = ok_response(
-                        request_id,
-                        {
-                            "pong": True,
-                            "protocol": PROTOCOL_VERSION,
-                            "router": True,
-                            "shards": self.shard_health(),
-                        },
-                    )
-                elif op == "estimate":
-                    response = ok_response(
-                        request_id, await self._forward_estimate(payload)
-                    )
-                elif op == "estimate_batch":
-                    response = ok_response(
-                        request_id,
-                        await self._forward_estimate_batch(payload),
-                    )
-                elif op == "place":
-                    response = ok_response(
-                        request_id, await self._forward_place(payload)
-                    )
-                elif op == "stats":
-                    response = ok_response(request_id, await self._stats())
-                elif op == "metrics":
-                    response = ok_response(
-                        request_id,
-                        {
-                            "exposition": self.render_metrics(),
-                            "snapshot": self.metrics_snapshot(),
-                        },
-                    )
-                elif op == "invalidate":
-                    response = ok_response(
-                        request_id,
-                        await self._broadcast_invalidate(payload),
-                    )
-                elif op == "join":
-                    response = ok_response(
-                        request_id,
-                        await self.join(
-                            parse_shard_address(
-                                str(payload.get("shard", ""))
-                            )
-                        ),
-                    )
-                elif op == "leave":
-                    host, port = parse_shard_address(
-                        str(payload.get("shard", ""))
-                    )
-                    response = ok_response(
-                        request_id, await self.leave(f"{host}:{port}")
-                    )
-                elif op == "shutdown":
-                    response = ok_response(request_id, {"stopping": True})
-                else:
-                    raise ServiceError(
-                        f"unknown op {op!r} (expected ping, estimate, "
-                        f"estimate_batch, place, stats, metrics, "
-                        f"invalidate, join, leave or shutdown)"
-                    )
-        except Exception as error:
-            self._metric_errors.inc()
-            response = error_response(request_id, str(error))
-            op = None
-        await self._send(writer, response, send_lock)
-        if op == "shutdown":
-            assert self._stop is not None
-            self._stop.set()
+    async def _leave(self, payload: Dict[str, object], *_: object) -> Dict[str, object]:
+        host, port = parse_shard_address(str(payload.get("shard", "")))
+        return await self.leave(f"{host}:{port}")
 
     # ------------------------------------------------------------------
     # Forwarding
     # ------------------------------------------------------------------
-    @staticmethod
-    def _wire_gallery(query: Query) -> Dict[str, object]:
-        return {
-            "kind": query.gallery.kind,
-            "seed": query.gallery.seed,
-            "applications": query.gallery.application_count,
-        }
-
     async def _forward_estimate(
-        self, payload: Dict[str, object]
+        self, payload: Dict[str, object], trace_id: Optional[str], conn: object
     ) -> Dict[str, object]:
-        if self._closing:
-            raise ServiceError("router is shutting down")
         # Validate at the edge (same contract as the server) — and the
         # parse yields the gallery label the ring hashes on.
-        query = parse_estimate(payload)
-        trace_id = resolve_trace_id(payload)
-        if self._batcher is not None:
-            return await self._submit_batched(query, trace_id)
-        label = query.gallery.label()
-
-        async def attempt(shard: _Shard, attempts: int) -> Dict[str, object]:
-            with self.tracer.span(
-                "router.forward",
-                trace_id=trace_id,
-                shard=shard.name,
-                gallery=label,
-                attempt=attempts,
-            ):
-                client = await self._client(shard)
-                return await client.estimate(
-                    list(query.use_case.applications),
-                    gallery=self._wire_gallery(query),
-                    model=query.model,
-                    method=query.method.value,
-                    trace=trace_id,
-                )
-
-        shard, result = await self._failover(label, attempt)
-        shard.forwarded += 1
-        self._metric_forwarded.inc()
-        self._replicate(label, query.key, result, exclude=shard.name)
-        result["shard"] = shard.name
-        return result
+        (answer,) = await self._coalesce([parse_estimate(payload)], trace_id)
+        return await answer
 
     async def _forward_estimate_batch(
-        self, payload: Dict[str, object]
+        self, payload: Dict[str, object], trace_id: Optional[str], conn: object
     ) -> Dict[str, object]:
-        """A client-side ``estimate_batch`` through the router.
-
-        With the micro-batcher on, members join the shared pending
-        pool (coalescing with other connections' queries); otherwise
-        the group forwards as one framed hop directly.
-        """
-        if self._closing:
-            raise ServiceError("router is shutting down")
-        queries = parse_estimate_batch(payload)
-        trace_id = resolve_trace_id(payload)
-        loop = asyncio.get_running_loop()
-        members = [
-            _RoutedQuery(
-                query=query, trace_id=trace_id, future=loop.create_future()
-            )
-            for query in queries
-        ]
-        if self._batcher is not None:
-            group = members[0].query.group
-            self._pending.setdefault(group, []).extend(members)
-            assert self._arrival is not None
-            self._arrival.set()
-        else:
-            await self._forward_group(members)
+        """A client-side ``estimate_batch`` through the router; failed
+        members carry ``{"error": ...}`` in their slot."""
+        answers = await self._coalesce(parse_estimate_batch(payload), trace_id)
         results: List[Dict[str, object]] = []
-        for member in members:
+        for answer in answers:
             try:
-                results.append(await member.future)
+                results.append(await answer)
             except ServiceError as error:
                 results.append({"error": str(error)})
         return {"results": results}
 
-    async def _submit_batched(
-        self, query: Query, trace_id: Optional[str]
-    ) -> Dict[str, object]:
-        """Enqueue one estimate into the micro-batcher and await it."""
-        member = _RoutedQuery(
-            query=query,
-            trace_id=trace_id,
-            future=asyncio.get_running_loop().create_future(),
-        )
-        self._pending.setdefault(query.group, []).append(member)
-        assert self._arrival is not None
-        self._arrival.set()
-        return await member.future
+    async def _coalesce(
+        self, queries: List[Query], trace_id: Optional[str]
+    ) -> List["asyncio.Future[Dict[str, object]]"]:
+        """Queue one group's queries for a shard hop; returns the
+        futures of their answers.
 
-    async def _batch_loop(self) -> None:
-        assert self._arrival is not None
-        while True:
-            if not any(self._pending.values()):
-                self._arrival.clear()
-                await self._arrival.wait()
-            if self.batch_window > 0 and not self._closing:
-                # Linger: same-gallery queries from other connections
-                # land in this hop, not the next.
+        The first query of a ``(gallery, model, method)`` group opens
+        the group's pending list, waits ``batch_window`` so same-group
+        queries from other connections can join it, then forwards the
+        list one ``estimate_batch`` hop per ``max_batch`` members.  A
+        query arriving while the list is open only joins it.
+        """
+        if self._closing:
+            raise ServiceError("router is shutting down")
+        loop = asyncio.get_running_loop()
+        members = [
+            _RoutedQuery(query=query, trace_id=trace_id, future=loop.create_future())
+            for query in queries
+        ]
+        group = queries[0].group
+        pending = self._pending.get(group)
+        if pending is not None:
+            pending.extend(members)
+        else:
+            pending = self._pending[group] = list(members)
+            if self.batch_window:
                 await asyncio.sleep(self.batch_window)
-            groups = [
-                members for members in self._pending.values() if members
-            ]
-            self._pending = {}
-            loop = asyncio.get_running_loop()
-            for members in groups:
-                # One framed hop per max_batch chunk per group; groups
-                # fly concurrently — shard affinity spreads them.
-                for start in range(0, len(members), self.max_batch):
-                    chunk = members[start : start + self.max_batch]
-                    task = loop.create_task(self._forward_group(chunk))
-                    self._group_tasks.add(task)
-                    task.add_done_callback(self._group_tasks.discard)
+            del self._pending[group]
+            for start in range(0, len(pending), self.max_batch):
+                await self._forward_group(pending[start : start + self.max_batch])
+        return [member.future for member in members]
 
     async def _forward_group(self, members: List[_RoutedQuery]) -> None:
         """Forward one ``(gallery, model, method)`` group as a single
         framed ``estimate_batch`` hop and resolve its members."""
         first = members[0].query
         label = first.gallery.label()
-        # Same dedup discipline as the server batcher: N clients asking
-        # the same question inside one window cost one forwarded query.
-        unique: Dict[Tuple[str, str, str, str], Query] = {}
-        for member in members:
-            unique.setdefault(member.query.key, member.query)
+        unique, trace_ids = unique_queries(members)
         queries = list(unique.values())
-        trace_ids = tuple(
-            dict.fromkeys(
-                member.trace_id
-                for member in members
-                if member.trace_id is not None
-            )
-        )
         hop_trace = trace_ids[0] if len(trace_ids) == 1 else None
 
         async def attempt(shard: _Shard, attempts: int) -> Dict[str, object]:
@@ -1021,7 +786,7 @@ class ShardRouter:
                 client = await self._client(shard)
                 return await client.estimate_batch(
                     [list(q.use_case.applications) for q in queries],
-                    gallery=self._wire_gallery(first),
+                    gallery=wire_gallery(first.gallery),
                     model=first.model,
                     method=first.method.value,
                     trace=hop_trace,
@@ -1035,7 +800,7 @@ class ShardRouter:
                 if not member.future.done():
                     member.future.set_exception(ServiceError(message))
             return
-        shard.forwarded += 1
+        shard.forwarded += len(queries)
         self._metric_forwarded.inc(len(queries))
         self._metric_batches.inc()
         self._metric_batched_queries.inc(len(members))
@@ -1143,7 +908,7 @@ class ShardRouter:
                 pass  # the target refused the import; not a death
 
     async def _forward_place(
-        self, payload: Dict[str, object]
+        self, payload: Dict[str, object], trace_id: Optional[str], conn: object
     ) -> Dict[str, object]:
         """Forward a ``place`` request to the gallery's home shard.
 
@@ -1157,7 +922,6 @@ class ShardRouter:
         if self._closing:
             raise ServiceError("router is shutting down")
         query = parse_place(payload)
-        trace_id = resolve_trace_id(payload)
         label = query.gallery.label()
 
         async def attempt(shard: _Shard, attempts: int) -> Dict[str, object]:
@@ -1170,11 +934,7 @@ class ShardRouter:
             ):
                 client = await self._client(shard)
                 return await client.place(
-                    gallery={
-                        "kind": query.gallery.kind,
-                        "seed": query.gallery.seed,
-                        "applications": query.gallery.application_count,
-                    },
+                    gallery=wire_gallery(query.gallery),
                     strategy=query.strategy,
                     model=query.model,
                     objective=query.objective,
@@ -1203,15 +963,11 @@ class ShardRouter:
         return result
 
     async def _broadcast_invalidate(
-        self, payload: Dict[str, object]
+        self, payload: Dict[str, object], *_: object
     ) -> Dict[str, object]:
         spec = parse_gallery(payload.get("gallery"))
         label = spec.label()
-        gallery = {
-            "kind": spec.kind,
-            "seed": spec.seed,
-            "applications": spec.application_count,
-        }
+        gallery = wire_gallery(spec)
         # The epoch bump is the fence: a down shard keeps its stale
         # cache, but its ack now lags, so it cannot rejoin the ring
         # until the invalidation is replayed to it.
@@ -1243,7 +999,7 @@ class ShardRouter:
             self._invalidating.discard(label)
         return {"gallery": label, "epoch": epoch, "shards": results}
 
-    async def _stats(self) -> Dict[str, object]:
+    async def _stats(self, *_: object) -> Dict[str, object]:
         shards: Dict[str, object] = {}
         for shard in list(self._shards.values()):
             if not shard.healthy:
@@ -1265,7 +1021,13 @@ class ShardRouter:
         }
 
     def snapshot(self) -> Dict[str, object]:
-        """Router-side counters (JSON-serializable, no shard calls)."""
+        """Router-side counters (JSON-serializable, no shard calls).
+
+        ``batches`` counts every estimate hop (each is one framed
+        ``estimate_batch``), and ``batched_queries`` the client
+        estimates those hops carried; ``forwarded`` and
+        ``per_shard_forwarded`` count deduplicated queries.
+        """
         return {
             "protocol": PROTOCOL_VERSION,
             "router": True,
@@ -1292,10 +1054,3 @@ class ShardRouter:
                 for shard in self._shards.values()
             },
         }
-
-    def render_metrics(self) -> str:
-        """Prometheus exposition: router registry + process-global."""
-        return render_merged(self.registry, get_registry())
-
-    def metrics_snapshot(self) -> Dict[str, object]:
-        return snapshot_merged(self.registry, get_registry())

@@ -43,8 +43,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.backend import get_backend
-from repro.exceptions import ReproError, ServiceError
-from repro.runtime.service import GallerySpec
+from repro.exceptions import ServiceError
 from repro.runtime.manager import (
     DowngradePolicy,
     EvictLowestPriorityPolicy,
@@ -56,31 +55,18 @@ from repro.service.cache import ResultCache
 from repro.service.pool import EnginePool
 from repro.service.workers import DEFAULT_SPLIT_THRESHOLD, SolverPool
 from repro.service.protocol import (
-    OPERATIONS,
     PROTOCOL_VERSION,
-    PlaceQuery,
+    JsonLinesEndpoint,
     Query,
-    decode_message,
-    encode_message,
-    error_response,
-    ok_response,
     parse_cache_entries,
     parse_cache_export,
     parse_estimate,
     parse_estimate_batch,
     parse_gallery,
     parse_place,
-    resolve_request_id,
-    resolve_trace_id,
+    unique_queries,
 )
-from repro.telemetry import (
-    COUNT_BUCKETS,
-    MetricsRegistry,
-    Tracer,
-    get_registry,
-    render_merged,
-    snapshot_merged,
-)
+from repro.telemetry import COUNT_BUCKETS, MetricsRegistry, Tracer
 
 #: Waiting model served under the ``downgrade`` shedding policy — the
 #: cheap direct-composition technique (Eq. 6/7), batch-capable like the
@@ -284,7 +270,7 @@ class _PendingQuery:
         return self.requested_model
 
 
-class EstimationServer:
+class EstimationServer(JsonLinesEndpoint):
     """Async micro-batching estimation service over warm engine pools.
 
     Parameters
@@ -366,10 +352,28 @@ class EstimationServer:
         # ("all since server start") must not bleed across instances.
         # Library-level metrics (engines, estimators) accumulate in the
         # process-global registry; :meth:`render_metrics` merges both.
-        self.registry = (
-            registry if registry is not None else MetricsRegistry(enabled=True)
+        if registry is None:
+            registry = MetricsRegistry(enabled=True)
+        self.stats = ServerStats(registry)
+        super().__init__(
+            {
+                "ping": self._ping,
+                "estimate": self._estimate,
+                "estimate_batch": self._estimate_batch,
+                "place": self._place,
+                "stats": self._stats,
+                "metrics": self._metrics,
+                "invalidate": self._invalidate,
+                "cache_export": self._cache_export,
+                "cache_import": self._cache_import,
+                "shutdown": self._shutdown,
+            },
+            registry=registry,
+            tracer=tracer if tracer is not None else Tracer(),
+            count_request=self.stats.record_request,
+            count_error=self.stats.record_error,
+            request_span="service.request",
         )
-        self.tracer = tracer if tracer is not None else Tracer()
         self.pool = (
             pool
             if pool is not None
@@ -392,14 +396,12 @@ class EstimationServer:
         self._backend_name: Optional[str] = (
             get_backend(backend).name if backend is not None else None
         )
-        self.stats = ServerStats(self.registry)
         self._metric_place = self.registry.counter(
             "repro_service_place_requests_total",
             "Placement searches served",
         )
         self._pending: Deque[_PendingQuery] = deque()
         self._arrival: Optional[asyncio.Event] = None
-        self._stop: Optional[asyncio.Event] = None
         self._batcher: Optional["asyncio.Task[None]"] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._workers: Optional[SolverPool] = None
@@ -407,11 +409,7 @@ class EstimationServer:
         #: dispatched *before* an ``invalidate`` from re-populating the
         #: cache *after* it (see :meth:`_invalidate`).
         self._gallery_versions: Dict[str, int] = {}
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._writers: "set[asyncio.StreamWriter]" = set()
         self._busy = False
-        self._closing = False
-        self.address: Optional[Tuple[str, int]] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -419,7 +417,6 @@ class EstimationServer:
     def _ensure_running(self) -> None:
         if self._arrival is None:
             self._arrival = asyncio.Event()
-            self._stop = asyncio.Event()
             if self.solver_workers > 0:
                 # Multiprocess mode: persistent worker processes with
                 # warm per-process engine pools; the in-process
@@ -444,20 +441,8 @@ class EstimationServer:
             self._batcher = asyncio.get_running_loop().create_task(self._batch_loop())
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> Tuple[str, int]:
-        """Listen on TCP ``host:port`` (0 = ephemeral); returns the
-        bound address."""
-        if self._server is not None:
-            raise ServiceError("server already started")
         self._ensure_running()
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            host=host,
-            port=port,
-            limit=2 * 1024 * 1024,
-        )
-        bound = self._server.sockets[0].getsockname()
-        self.address = (bound[0], bound[1])
-        return self.address
+        return await super().start(host, port)
 
     async def serve_stdio(
         self,
@@ -468,24 +453,14 @@ class EstimationServer:
         until EOF or a ``shutdown`` request, then drain and stop."""
         self._ensure_running()
         try:
-            await self._handle_stream(reader, writer, close_writer=False)
+            await self._serve_stream(reader, writer)
         finally:
             await self.aclose()
-
-    async def wait_shutdown(self) -> None:
-        """Block until a client sends ``shutdown`` (or :meth:`aclose`)."""
-        self._ensure_running()
-        assert self._stop is not None
-        await self._stop.wait()
 
     async def aclose(self) -> None:
         """Graceful stop: refuse new queries, drain pending to real
         answers, then tear down the batcher, executor and listeners."""
-        self._closing = True
-        if self._stop is not None:
-            self._stop.set()
-        if self._server is not None:
-            self._server.close()  # stop accepting; handlers keep going
+        self._stop_accepting()
         if self._arrival is not None:
             self._arrival.set()  # wake the batcher for the final drain
             while self._pending or self._busy:
@@ -493,17 +468,7 @@ class EstimationServer:
             # Give handlers awaiting a just-resolved future a chance to
             # flush their response before their transport goes away.
             await asyncio.sleep(0.02)
-        for writer in list(self._writers):
-            try:
-                writer.close()
-            except (ConnectionError, BrokenPipeError):
-                pass
-        if self._server is not None:
-            # On >= 3.12 this also waits for connection handlers; the
-            # transports just closed, so their readline sees EOF and
-            # every handler returns promptly.
-            await self._server.wait_closed()
-            self._server = None
+        await self._close_connections()
         if self._batcher is not None:
             self._batcher.cancel()
             try:
@@ -518,96 +483,13 @@ class EstimationServer:
             self._workers.shutdown(wait=True)
             self._workers = None
 
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        self._writers.add(writer)
-        try:
-            await self._handle_stream(reader, writer, close_writer=True)
-        finally:
-            self._writers.discard(writer)
-
-    async def _handle_stream(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        close_writer: bool,
-    ) -> None:
-        # Requests are handled *concurrently*: each line becomes a task,
-        # so one connection can pipeline many questions into the same
-        # micro-batch; responses interleave and clients match them back
-        # by id.  The lock serializes writes to the shared transport.
-        send_lock = asyncio.Lock()
-        tasks: "set[asyncio.Task[None]]" = set()
-        loop = asyncio.get_running_loop()
-        # Connection token: pending queries carry it so a disconnect
-        # can eagerly reap this stream's queue entries (see below).
-        conn = object()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    # Line exceeded the stream limit: protocol abuse.
-                    await self._send(
-                        writer,
-                        error_response(None, "message too long"),
-                        send_lock,
-                    )
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    payload = decode_message(line)
-                except ReproError as error:
-                    self.stats.record_request()
-                    self.stats.record_error()
-                    await self._send(
-                        writer,
-                        error_response(None, str(error)),
-                        send_lock,
-                    )
-                    continue
-                if payload.get("op") == "shutdown":
-                    # Handled inline so this read loop stops cleanly;
-                    # in-flight tasks still drain below.
-                    await self._serve_payload(payload, writer, send_lock, conn)
-                    break
-                task = loop.create_task(
-                    self._serve_payload(payload, writer, send_lock, conn)
-                )
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-        except (ConnectionError, BrokenPipeError):
-            pass
-        finally:
-            # The client is gone: its queued questions have no reader.
-            # Reap them *now* — a dead entry would otherwise sit in the
-            # pending queue occupying ``max_pending`` capacity and
-            # could shed a live client's query.
-            self._drop_disconnected(conn)
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-            if close_writer:
-                try:
-                    writer.close()
-                    await writer.wait_closed()
-                except (ConnectionError, BrokenPipeError):
-                    pass
-
     def _drop_disconnected(self, conn: object) -> None:
         """Remove a dead connection's entries from the pending queue.
 
-        Their futures are cancelled (nobody can read an answer), the
-        serving tasks unwind, and live clients keep the queue capacity
-        the dead entries were holding.
+        A dead entry would otherwise sit in the queue holding
+        ``max_pending`` capacity and could shed a live client's query.
+        Its future is cancelled (nobody can read an answer), the
+        serving task unwinds, and live clients keep the capacity.
         """
         if not self._pending:
             return
@@ -624,176 +506,94 @@ class EstimationServer:
             self._pending.clear()
             self._pending.extend(survivors)
 
-    async def _serve_payload(
-        self,
-        payload: Dict[str, object],
-        writer: asyncio.StreamWriter,
-        send_lock: asyncio.Lock,
-        conn: Optional[object] = None,
-    ) -> None:
-        """Answer one decoded request."""
-        self.stats.record_request()
-        request_id: object = None
-        try:
-            request_id = resolve_request_id(payload)
-            trace_id = resolve_trace_id(payload)
-            op = payload.get("op")
-            with self.tracer.span(
-                "service.request", trace_id=trace_id, op=str(op)
-            ):
-                if op == "ping":
-                    response = ok_response(
-                        request_id,
-                        {"pong": True, "protocol": PROTOCOL_VERSION},
-                    )
-                elif op == "estimate":
-                    result = await self._submit(
-                        parse_estimate(payload), trace_id, conn
-                    )
-                    if trace_id is not None:
-                        # Echo the client's trace id in the payload so a
-                        # pipelined client can correlate answer, request
-                        # and the server-side spans carrying the id.
-                        result["trace"] = trace_id
-                    response = ok_response(request_id, result)
-                elif op == "estimate_batch":
-                    result = await self._submit_batch(
-                        parse_estimate_batch(payload), trace_id, conn
-                    )
-                    if trace_id is not None:
-                        result["trace"] = trace_id
-                    response = ok_response(request_id, result)
-                elif op == "cache_export":
-                    response = ok_response(
-                        request_id, self._cache_export(payload)
-                    )
-                elif op == "cache_import":
-                    response = ok_response(
-                        request_id,
-                        {
-                            "imported": self.cache.import_entries(
-                                parse_cache_entries(payload)
-                            )
-                        },
-                    )
-                elif op == "place":
-                    result = await self._place(
-                        parse_place(payload), trace_id
-                    )
-                    if trace_id is not None:
-                        result["trace"] = trace_id
-                    response = ok_response(request_id, result)
-                elif op == "stats":
-                    response = ok_response(request_id, await self._stats())
-                elif op == "metrics":
-                    response = ok_response(
-                        request_id,
-                        {
-                            "exposition": self.render_metrics(),
-                            "snapshot": self.metrics_snapshot(),
-                        },
-                    )
-                elif op == "invalidate":
-                    response = ok_response(
-                        request_id,
-                        await self._invalidate(
-                            parse_gallery(payload.get("gallery"))
-                        ),
-                    )
-                elif op == "shutdown":
-                    response = ok_response(request_id, {"stopping": True})
-                else:
-                    raise ServiceError(
-                        f"unknown op {op!r} "
-                        f"(expected one of {', '.join(OPERATIONS)})"
-                    )
-        except Exception as error:
-            # Every request gets *an* answer — an unexpected exception
-            # must not leave the client waiting on a response forever.
-            self.stats.record_error()
-            response = error_response(request_id, str(error))
-            op = None
-        try:
-            await self._send(writer, response, send_lock)
-        except (ConnectionError, BrokenPipeError):
-            pass  # client went away; the response has nowhere to go
-        finally:
-            # An accepted shutdown stops the server even when the
-            # requester vanished before reading the acknowledgement.
-            if op == "shutdown":
-                assert self._stop is not None
-                self._stop.set()
+    # ------------------------------------------------------------------
+    # Operations: ``(payload, trace_id, conn)`` in, the result out
+    # ------------------------------------------------------------------
+    async def _ping(self, *_: object) -> Dict[str, object]:
+        return {"pong": True, "protocol": PROTOCOL_VERSION}
 
-    async def _send(
-        self,
-        writer: asyncio.StreamWriter,
-        payload: Dict[str, object],
-        send_lock: asyncio.Lock,
-    ) -> None:
-        async with send_lock:
-            writer.write(encode_message(payload))
-            await writer.drain()
+    async def _estimate(
+        self, payload: Dict[str, object], trace_id: Optional[str], conn: object
+    ) -> Dict[str, object]:
+        result = await self._submit(parse_estimate(payload), trace_id, conn)
+        return _echo_trace(result, trace_id)
+
+    async def _estimate_batch(
+        self, payload: Dict[str, object], trace_id: Optional[str], conn: object
+    ) -> Dict[str, object]:
+        """N same-gallery questions in one framed message (the router's
+        shard hop).
+
+        Each question goes through the ordinary :meth:`_submit` intake
+        — cache fast path, shedding, pending queue — so a batch member
+        is indistinguishable from a single estimate once enqueued.
+        Failures are per-member (``{"error": ...}`` in that member's
+        slot): one shed or failed question must not poison its
+        batch-mates' answers.
+        """
+        futures = [
+            self._submit(query, trace_id, conn)
+            for query in parse_estimate_batch(payload)
+        ]
+        results: List[Dict[str, object]] = []
+        for future in futures:
+            try:
+                results.append(await future)
+            except Exception as error:
+                results.append({"error": str(error)})
+        return _echo_trace({"results": results}, trace_id)
+
+    async def _cache_import(
+        self, payload: Dict[str, object], *_: object
+    ) -> Dict[str, object]:
+        return {"imported": self.cache.import_entries(parse_cache_entries(payload))}
 
     # ------------------------------------------------------------------
     # Query intake: cache fast path, overload shedding, enqueue
     # ------------------------------------------------------------------
-    async def _submit(
+    def _submit(
         self,
         query: Query,
         trace_id: Optional[str] = None,
         conn: Optional[object] = None,
-    ) -> Dict[str, object]:
+    ) -> "asyncio.Future[Dict[str, object]]":
+        """Take one question in; returns the future of its answer.
+
+        A cache hit resolves at once; a refused question (shutdown or
+        overload shedding) resolves to its error.
+        """
         self.stats.record_estimate_request()
-        if self._closing:
-            raise ServiceError("server is shutting down")
-        cached = self.cache.get(query.key)
-        if cached is not None:
-            return dict(cached, cached=True)
+        future = asyncio.get_running_loop().create_future()
         requested_model = query.model
-        if len(self._pending) >= self.max_pending:
-            query = self._shed(query)
-        pending = _PendingQuery(
-            query=query,
-            future=asyncio.get_running_loop().create_future(),
-            requested_model=requested_model,
-            trace_id=trace_id,
-            enqueued=time.perf_counter(),
-            conn=conn,
+        try:
+            if self._closing:
+                raise ServiceError("server is shutting down")
+            cached = self.cache.get(query.key)
+            if cached is not None:
+                future.set_result(dict(cached, cached=True))
+                return future
+            if len(self._pending) >= self.max_pending:
+                query = self._shed(query)
+        except ServiceError as error:
+            future.set_exception(error)
+            return future
+        self._pending.append(
+            _PendingQuery(
+                query=query,
+                future=future,
+                requested_model=requested_model,
+                trace_id=trace_id,
+                enqueued=time.perf_counter(),
+                conn=conn,
+            )
         )
-        self._pending.append(pending)
         assert self._arrival is not None
         self._arrival.set()
-        return await pending.future
+        return future
 
-    async def _submit_batch(
-        self,
-        queries: List[Query],
-        trace_id: Optional[str] = None,
-        conn: Optional[object] = None,
+    async def _cache_export(
+        self, payload: Dict[str, object], *_: object
     ) -> Dict[str, object]:
-        """The ``estimate_batch`` op: N same-gallery questions in one
-        framed message (the router micro-batcher's shard hop).
-
-        Each question goes through the ordinary :meth:`_submit` intake
-        — cache fast path, shedding, pending queue — so a batch member
-        is indistinguishable from a single estimate once enqueued, and
-        they all coalesce into the same micro-batch.  Failures are
-        per-member (``{"error": ...}`` in that member's slot): one shed
-        or failed question must not poison its batch-mates' answers.
-        """
-
-        async def one(query: Query) -> Dict[str, object]:
-            try:
-                return await self._submit(query, trace_id, conn)
-            except asyncio.CancelledError:
-                raise
-            except Exception as error:
-                return {"error": str(error)}
-
-        results = await asyncio.gather(*[one(query) for query in queries])
-        return {"results": list(results)}
-
-    def _cache_export(self, payload: Dict[str, object]) -> Dict[str, object]:
         """The ``cache_export`` op: portable warm answers per gallery.
 
         The response always names every cached gallery, so a router
@@ -853,10 +653,10 @@ class EstimationServer:
     async def _in_solver_thread(self, call, *args):
         """Run a pool-touching call on the solver thread.
 
-        The pool is mutated by :meth:`_solve_group` on the single
-        worker thread; routing ``stats``/``invalidate`` pool access
-        through the same executor serializes it against in-flight
-        solves instead of racing their dict mutations.
+        The pool is mutated by solves on the single worker thread;
+        routing ``stats``/``invalidate`` pool access through the same
+        executor serializes it against in-flight solves instead of
+        racing their dict mutations.
         """
         if self._executor is None:  # quiesced (before start/after close)
             return call(*args)
@@ -864,7 +664,7 @@ class EstimationServer:
             self._executor, call, *args
         )
 
-    async def _stats(self) -> Dict[str, object]:
+    async def _stats(self, *_: object) -> Dict[str, object]:
         """The ``stats`` op: loop-side counters + thread-safe pool view."""
         workers = (
             await self._workers.snapshot() if self._workers is not None else None
@@ -875,7 +675,7 @@ class EstimationServer:
         )
 
     async def _place(
-        self, query: PlaceQuery, trace_id: Optional[str] = None
+        self, payload: Dict[str, object], trace_id: Optional[str], conn: object
     ) -> Dict[str, object]:
         """The ``place`` op: a placement search over a named gallery.
 
@@ -889,6 +689,8 @@ class EstimationServer:
         and safe for router failover retries.
         """
         from repro.search import place as run_place
+
+        query = parse_place(payload)
 
         def _run() -> Dict[str, object]:
             suite = query.gallery.build()
@@ -917,13 +719,18 @@ class EstimationServer:
         ):
             placement = await loop.run_in_executor(None, _run)
         self._metric_place.inc()
-        return {
-            "gallery": query.gallery.label(),
-            "strategy": query.strategy,
-            "placement": placement,
-        }
+        return _echo_trace(
+            {
+                "gallery": query.gallery.label(),
+                "strategy": query.strategy,
+                "placement": placement,
+            },
+            trace_id,
+        )
 
-    async def _invalidate(self, spec: GallerySpec) -> Dict[str, object]:
+    async def _invalidate(
+        self, payload: Dict[str, object], *_: object
+    ) -> Dict[str, object]:
         """Drop one gallery's cached answers and warm engines.
 
         The version bump happens *first*, synchronously on the loop: a
@@ -932,6 +739,7 @@ class EstimationServer:
         cache its (potentially stale-engine) results — the fence that
         closes the solve-in-flight-during-invalidate race.
         """
+        spec = parse_gallery(payload.get("gallery"))
         label = spec.label()
         self._gallery_versions[label] = self._gallery_versions.get(label, 0) + 1
         dropped_entries = self.cache.invalidate_gallery(label)
@@ -1014,53 +822,43 @@ class EstimationServer:
     ) -> None:
         """Solve one ``(gallery, model, method)`` group and resolve its
         members' futures."""
-        # Deduplicate identical questions: N clients asking the
-        # same thing inside one batch cost one estimate.
-        unique: Dict[Tuple[str, str, str, str], Query] = {}
-        for pending in members:
-            unique.setdefault(pending.query.key, pending.query)
+        unique, trace_ids = unique_queries(members)
         queries = list(unique.values())
-        trace_ids = tuple(
-            dict.fromkeys(
-                pending.trace_id
-                for pending in members
-                if pending.trace_id is not None
-            )
-        )
+        first = queries[0]
         # Fence: remember the gallery's invalidation epoch *before* the
         # solve leaves the loop.  An ``invalidate`` arriving while the
         # solve is in flight bumps the epoch, and the stale results
         # then answer their waiters but never enter the cache.
-        gallery_label = queries[0].gallery.label()
+        gallery_label = first.gallery.label()
         version = self._gallery_versions.get(gallery_label, 0)
+        self.stats.record_solved(len(queries))
         try:
-            if self._workers is not None:
-                self.stats.record_solved(len(queries))
-                with self.tracer.span(
-                    "service.solve",
-                    trace_id=trace_ids[0] if len(trace_ids) == 1 else None,
-                    gallery=gallery_label,
-                    model=queries[0].model,
-                    method=queries[0].method.value,
-                    queries=len(queries),
-                    trace_ids=list(trace_ids),
-                ):
+            with self.tracer.span(
+                "service.solve",
+                trace_id=trace_ids[0] if len(trace_ids) == 1 else None,
+                gallery=gallery_label,
+                model=first.model,
+                method=first.method.value,
+                queries=len(queries),
+                trace_ids=list(trace_ids),
+            ):
+                if self._workers is not None:
                     payloads = await self._workers.solve(
-                        queries, iterations=self.fixed_point_iterations
+                        queries, self.fixed_point_iterations
                     )
-            else:
-                assert self._executor is not None
-                payloads = await asyncio.get_running_loop().run_in_executor(
-                    self._executor, self._solve_group, queries, trace_ids
-                )
+                else:
+                    payloads = await asyncio.get_running_loop().run_in_executor(
+                        self._executor,
+                        self.pool.solve,
+                        queries,
+                        self.fixed_point_iterations,
+                    )
         except Exception as error:
             # Any solver failure answers the whole group; the
             # batcher itself must survive to serve the next batch.
             for pending in members:
                 if not pending.future.done():
-                    pending.future.set_exception(
-                        ServiceError(str(error))
-                    )
+                    pending.future.set_exception(ServiceError(str(error)))
             return
         by_key = dict(zip(unique.keys(), payloads))
         fresh = self._gallery_versions.get(gallery_label, 0) == version
@@ -1078,57 +876,7 @@ class EstimationServer:
             )
             pending.future.set_result(payload)
 
-    def _solve_group(
-        self, queries: List[Query], trace_ids: Tuple[str, ...] = ()
-    ) -> List[Dict[str, object]]:
-        """Worker-thread entry: one batched solve for one group.
-
-        All queries share gallery, model and method by construction, so
-        one warm estimator's :meth:`estimate_many` covers the group —
-        the micro-batching payoff.
-        """
-        self.stats.record_solved(len(queries))
-        first = queries[0]
-        with self.tracer.span(
-            "service.solve",
-            trace_id=trace_ids[0] if len(trace_ids) == 1 else None,
-            gallery=first.gallery.label(),
-            model=first.model,
-            method=first.method.value,
-            queries=len(queries),
-            trace_ids=list(trace_ids),
-        ):
-            estimator = self.pool.estimator(
-                first.gallery, first.model, first.method
-            )
-            results = estimator.estimate_many(
-                [query.use_case for query in queries],
-                iterations=self.fixed_point_iterations,
-            )
-        payloads: List[Dict[str, object]] = []
-        for query, result in zip(queries, results):
-            payloads.append(
-                {
-                    "gallery": query.gallery.label(),
-                    "use_case": list(query.use_case.applications),
-                    "model": query.model,
-                    "method": query.method.value,
-                    "periods": dict(result.periods),
-                    "isolation": dict(result.isolation_periods),
-                }
-            )
-        return payloads
-
     # ------------------------------------------------------------------
-    def render_metrics(self) -> str:
-        """Prometheus exposition: this server's registry merged with the
-        process-global one (engine, estimator and DES counters)."""
-        return render_merged(self.registry, get_registry())
-
-    def metrics_snapshot(self) -> Dict[str, object]:
-        """JSON snapshot of the same merged registries."""
-        return snapshot_merged(self.registry, get_registry())
-
     def snapshot(
         self,
         pool: Optional[Dict[str, object]] = None,
@@ -1165,3 +913,13 @@ class EstimationServer:
             "pool": pool if pool is not None else self.pool.snapshot(),
             "workers": workers,
         }
+
+
+def _echo_trace(
+    result: Dict[str, object], trace_id: Optional[str]
+) -> Dict[str, object]:
+    """Echo the client's trace id in the result, so a pipelined client
+    can correlate answer, request and the spans carrying the id."""
+    if trace_id is not None:
+        result["trace"] = trace_id
+    return result

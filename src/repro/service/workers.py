@@ -36,7 +36,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ServiceError
 from repro.runtime.service import GallerySpec
-from repro.sdf.analysis import AnalysisMethod
 from repro.service.hashring import HashRing
 from repro.service.protocol import Query
 from repro.telemetry import MetricsRegistry, Tracer, get_registry
@@ -76,35 +75,10 @@ def _init_worker(
     )
 
 
-def _worker_solve(
-    gallery: GallerySpec,
-    model: str,
-    method_value: str,
-    use_cases: Sequence[Tuple[str, ...]],
-    iterations: int,
-) -> List[Dict[str, object]]:
+def _worker_solve(queries: List[Query], iterations: int) -> List[Dict[str, object]]:
     """Worker entry: one batched solve on the process-local pool."""
-    from repro.platform.usecase import UseCase
-
     assert _WORKER_POOL is not None, "worker used before initialization"
-    estimator = _WORKER_POOL.estimator(
-        gallery, model, AnalysisMethod(method_value)
-    )
-    results = estimator.estimate_many(
-        [UseCase(tuple(names)) for names in use_cases],
-        iterations=iterations,
-    )
-    return [
-        {
-            "gallery": gallery.label(),
-            "use_case": list(result.use_case.applications),
-            "model": model,
-            "method": method_value,
-            "periods": dict(result.periods),
-            "isolation": dict(result.isolation_periods),
-        }
-        for result in results
-    ]
+    return _WORKER_POOL.solve(queries, iterations)
 
 
 def _worker_invalidate(gallery: GallerySpec) -> bool:
@@ -337,13 +311,7 @@ class SolverPool:
                     attempt=attempt,
                 ):
                     payloads = await loop.run_in_executor(
-                        executor,
-                        _worker_solve,
-                        first.gallery,
-                        first.model,
-                        first.method.value,
-                        [tuple(q.use_case.applications) for q in queries],
-                        iterations,
+                        executor, _worker_solve, queries, iterations
                     )
             except BrokenProcessPool:
                 # The worker process died under this batch.  Respawn

@@ -1,4 +1,4 @@
-"""Span-based tracer with thread-local context and a bounded ring buffer.
+"""Span-based tracer with context-local parents and a bounded ring buffer.
 
 Usage mirrors the metrics registry: acquire the tracer once, then open
 spans around units of work::
@@ -15,29 +15,31 @@ Design points that keep the hot paths cheap:
   no allocation, no clock read, no string formatting.  Attribute values
   are passed as keyword arguments precisely so callers never pre-format
   f-strings.
-* The parent stack and current trace id live in a ``threading.local``;
-  spans opened on worker threads nest independently of the event loop.
-* Exit removes the span from the context stack by identity rather than a
-  blind pop, so interleaved async spans (a request span exiting while the
-  batcher span is still open on the same loop thread) cannot corrupt
-  parent attribution.
+* The stack of open spans and the current trace id live in
+  ``contextvars``: every asyncio task starts from a copy of its
+  creator's context, so concurrent requests on one event loop each
+  parent their spans to their own request span.  Executor threads start
+  from an empty context.
+* Exit removes the span from the stack by identity rather than a blind
+  pop, so spans exited out of order cannot corrupt parent attribution.
 * Finished spans land in a bounded ``deque`` (oldest evicted first) and,
   optionally, in a user-supplied sink callable — the JSON-lines span log
   streams through such a sink.
 
 Trace ids are caller-supplied opaque strings (the service propagates the
 client's id through the JSON-lines protocol); spans opened without an
-explicit id inherit the innermost enclosing span's id on the same thread.
+explicit id inherit the innermost enclosing span's id in the same context.
 """
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.telemetry.metrics import telemetry_enabled
 
@@ -115,37 +117,31 @@ class Span:
         self.attributes.update(attributes)
 
     def __enter__(self) -> "Span":
-        context = self._tracer._context
-        stack = getattr(context, "stack", None)
-        if stack is None:
-            stack = context.stack = []
+        tracer = self._tracer
+        stack = tracer._stack.get()
         if stack:
             parent = stack[-1]
             self.parent_id = parent.span_id
             if self.trace_id is None:
                 self.trace_id = parent.trace_id
         elif self.trace_id is None:
-            self.trace_id = getattr(context, "trace_id", None)
-        stack.append(self)
+            self.trace_id = tracer._trace_id.get()
+        tracer._stack.set(stack + (self,))
         self.start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         duration = time.perf_counter() - self.start
-        context = self._tracer._context
-        stack = context.stack
-        # Identity removal from the tail: async interleaving may exit an
-        # inner request span after an outer batch span already closed.
-        for index in range(len(stack) - 1, -1, -1):
-            if stack[index] is self:
-                del stack[index]
-                break
-        # Thread names are stable; resolve once per thread, not per span.
-        thread = getattr(context, "thread", None)
-        if thread is None:
-            thread = context.thread = threading.current_thread().name
+        # The stack is an immutable tuple: a task's copy of its
+        # creator's context must not see this context's pushes and pops.
+        var = self._tracer._stack
+        stack = var.get()
+        if stack and stack[-1] is self:
+            var.set(stack[:-1])
+        else:  # exited out of order
+            var.set(tuple(span for span in stack if span is not self))
         self.duration = duration
-        self.thread = thread
+        self.thread = threading.current_thread().name
         self._tracer._record(self)
 
 
@@ -167,23 +163,20 @@ NULL_SPAN = _NullSpan()
 
 
 class _TraceContext:
-    """Context manager installing a thread-local current trace id."""
+    """Context manager binding the current trace id in this context."""
 
-    __slots__ = ("_tracer", "_trace_id", "_previous")
+    __slots__ = ("_tracer", "_trace_id", "_token")
 
     def __init__(self, tracer: "Tracer", trace_id: Optional[str]) -> None:
         self._tracer = tracer
         self._trace_id = trace_id
-        self._previous: Optional[str] = None
 
     def __enter__(self) -> "_TraceContext":
-        context = self._tracer._context
-        self._previous = getattr(context, "trace_id", None)
-        context.trace_id = self._trace_id
+        self._token = self._tracer._trace_id.set(self._trace_id)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self._tracer._context.trace_id = self._previous
+        self._tracer._trace_id.reset(self._token)
 
 
 class Tracer:
@@ -197,7 +190,12 @@ class Tracer:
     ) -> None:
         self.enabled = telemetry_enabled() if enabled is None else enabled
         self._spans: Deque[SpanRecord] = deque(maxlen=max_spans)
-        self._context = threading.local()
+        self._stack: contextvars.ContextVar[Tuple[Span, ...]] = (
+            contextvars.ContextVar("repro_span_stack", default=())
+        )
+        self._trace_id: contextvars.ContextVar[Optional[str]] = (
+            contextvars.ContextVar("repro_trace_id", default=None)
+        )
         self._ids = itertools.count(1)
         self._sink = sink
         self._lock = threading.Lock()
@@ -211,15 +209,14 @@ class Tracer:
         return Span(self, name, trace_id, attributes)
 
     def trace(self, trace_id: Optional[str]) -> _TraceContext:
-        """Bind a trace id to the current thread for nested spans."""
+        """Bind a trace id to the current context for nested spans."""
         return _TraceContext(self, trace_id)
 
     def current_trace_id(self) -> Optional[str]:
-        context = self._context
-        stack = getattr(context, "stack", None)
+        stack = self._stack.get()
         if stack:
             return stack[-1].trace_id
-        return getattr(context, "trace_id", None)
+        return self._trace_id.get()
 
     def record(
         self,

@@ -732,8 +732,8 @@ class TestServiceLoad:
         assert _client_plan(config, 1) == _client_plan(replay, 1)
 
     def test_latency_histogram_quantiles(self):
-        # The report's percentiles come from the registry histogram now;
-        # nearest-rank off the log buckets, clamped to observed extremes.
+        # The exposition's latency histogram: nearest-rank off the log
+        # buckets, clamped to observed extremes.
         from repro.telemetry import Histogram
 
         histogram = Histogram(LATENCY_BUCKETS)
@@ -759,6 +759,13 @@ class TestServiceLoad:
         assert report.errors == 0
         assert report.queries_per_second > 0
         assert report.latency_p99_ms >= report.latency_p50_ms
+        # Exact nearest-rank percentiles of the recorded samples, not
+        # histogram bucket edges.
+        ranked = sorted(report.latencies_ms)
+        assert len(ranked) == 15
+        assert report.latency_p50_ms == ranked[7]
+        assert report.latency_p90_ms == ranked[13]
+        assert report.latency_p99_ms == ranked[14]
         rendered = report.render()
         assert "queries/sec" in rendered
 

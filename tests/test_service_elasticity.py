@@ -546,7 +546,7 @@ class TestFailoverRecompute:
                 """Home-shard client: dies mid-request, and the death
                 coincides with a probe declaring shard2 down."""
 
-                async def estimate(self, *args, **kwargs):
+                async def estimate_batch(self, *args, **kwargs):
                     router._mark_down(shard2)
                     raise ServiceConnectionError(
                         "connection reset mid-request"

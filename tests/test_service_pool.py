@@ -426,14 +426,14 @@ class TestInvalidationFence:
         release = threading.Event()
 
         async def scenario(server, host, port):
-            inner = server._solve_group
+            inner = server.pool.solve
 
-            def gated(queries, trace_ids=()):
+            def gated(queries, iterations):
                 solving.set()
                 assert release.wait(timeout=10)
-                return inner(queries, trace_ids)
+                return inner(queries, iterations)
 
-            server._solve_group = gated
+            server.pool.solve = gated
             client = await ServiceClient.connect(host, port)
             control = await ServiceClient.connect(host, port)
             try:

@@ -36,6 +36,10 @@ def gallery_payload(seed: int):
     return {"kind": "paper", "seed": seed, "applications": 4}
 
 
+def gallery_payload_label(seed: int) -> str:
+    return GallerySpec(kind="paper", seed=seed, application_count=4).label()
+
+
 # ----------------------------------------------------------------------
 # HashRing
 # ----------------------------------------------------------------------
@@ -386,3 +390,51 @@ class TestFailover:
         assert stats["live_shards"] == 2
 
 
+
+    def test_blackholed_shard_is_marked_down_and_failed_over(self):
+        """A shard that accepts connections but never answers: the
+        bounded health ping marks it down, which closes its connection,
+        so an estimate hung on it fails over to the live shard."""
+
+        async def scenario():
+            server = EstimationServer(batch_window=0.01)
+            live = await server.start()
+            held = []
+
+            async def swallow(reader, writer):
+                held.append(writer)
+                await reader.read()  # never answers; returns at EOF
+
+            blackhole = await asyncio.start_server(swallow, "127.0.0.1", 0)
+            hole = blackhole.sockets[0].getsockname()[:2]
+            hole_name = f"{hole[0]}:{hole[1]}"
+            router = ShardRouter([live, hole], health_interval=0.05)
+            client = await ServiceClient.connect(*await router.start())
+            seed = next(
+                seed
+                for seed in range(2000, 2100)
+                if router._ring.node_for(gallery_payload_label(seed)) == hole_name
+            )
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            try:
+                answer = await asyncio.wait_for(
+                    client.estimate(["A"], gallery=gallery_payload(seed)),
+                    timeout=1.0,
+                )
+                elapsed = loop.time() - started
+                pong = await client.ping()
+            finally:
+                await client.aclose()
+                await router.aclose()
+                await server.aclose()
+                blackhole.close()
+                for writer in held:
+                    writer.close()
+            return answer, elapsed, pong["shards"], hole_name
+
+        answer, elapsed, shards, hole_name = asyncio.run(scenario())
+        assert elapsed < 1.0
+        assert shards[hole_name] is False
+        assert answer["shard"] != hole_name
+        assert answer["periods"]

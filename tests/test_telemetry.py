@@ -325,6 +325,23 @@ class TestTracer:
         assert second.parent_id == first.span_id
         assert third.parent_id == second.span_id
 
+    def test_concurrent_tasks_parent_spans_to_their_own_span(self):
+        tracer = Tracer(enabled=True)
+
+        async def request(name):
+            with tracer.span(name) as outer:
+                await asyncio.sleep(0)  # let the other task open its span
+                with tracer.span(f"{name}.child") as child:
+                    await asyncio.sleep(0)
+            return outer, child
+
+        async def scenario():
+            return await asyncio.gather(request("a"), request("b"))
+
+        for outer, child in asyncio.run(scenario()):
+            assert outer.parent_id is None
+            assert child.parent_id == outer.span_id
+
     def test_set_attaches_midspan_attributes(self):
         tracer = Tracer(enabled=True)
         with tracer.span("solve", gallery="g") as span:
