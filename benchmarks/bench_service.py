@@ -503,7 +503,11 @@ def test_router_batching_speedup(benchmark):
                     unbatched.router["forwarded"],
                     batched.router["forwarded"],
                 ],
-                ["router batches", 0, batched.router["batches"]],
+                [
+                    "router batches",
+                    unbatched.router["batches"],
+                    batched.router["batches"],
+                ],
             ],
             title=(
                 f"Router micro-batching - fan-in storm, 2 shards, "

@@ -226,7 +226,6 @@ class LoadReport:
                 [
                     ["router batches", self.router.get("batches", 0)],
                     ["replications", self.router.get("replications", 0)],
-                    ["stale risk", self.router.get("stale_risk", 0)],
                 ]
             )
         if self.churn_events:
@@ -369,9 +368,8 @@ async def _run_churn(
     """Drive elasticity churn through the router *while load runs*.
 
     The sequence is the fleet's worst day compressed: a shard joins
-    (warm hand-off), the gallery is invalidated, a shard dies without
-    warning (tests replication failover and the queued-invalidation
-    replay), then the corpse is administratively retired.  The load
+    (warm hand-off), a shard dies without warning (tests replication
+    failover), then the corpse is administratively retired.  The load
     clients must observe none of it beyond latency.
     """
     admin = await ServiceClient.connect(*router_address)
@@ -388,7 +386,6 @@ async def _run_churn(
             )
         )
 
-    gallery = wire_gallery(config.gallery)
     try:
         await asyncio.sleep(0.05)
         joined = await admin.join(f"{spare_address[0]}:{spare_address[1]}")
@@ -397,9 +394,6 @@ async def _run_churn(
             shard=joined.get("shard"),
             handoff=joined.get("handoff"),
         )
-        await asyncio.sleep(0.05)
-        await admin.invalidate(gallery)
-        stamp("invalidate", gallery=config.gallery.label())
         await asyncio.sleep(0.05)
         await victim.aclose()  # unannounced death, not a graceful leave
         stamp("kill", shard=victim_name)
@@ -719,8 +713,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         action="store_true",
         help=(
             "drive elasticity churn mid-load: join a spare shard, "
-            "invalidate the gallery, kill a shard, retire the corpse "
-            "(needs --shards >= 2)"
+            "kill a shard, retire the corpse (needs --shards >= 2)"
         ),
     )
     parser.add_argument(

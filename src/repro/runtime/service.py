@@ -7,10 +7,13 @@ gallery (how the graphs were generated), the use-case itself, the
 waiting model and the analysis method.  :class:`SweepService` exploits
 both:
 
-* **fan-out** — misses are chunked round-robin (interleaving use-case
-  sizes so chunks cost about the same) onto
-  ``concurrent.futures.ProcessPoolExecutor`` workers; each worker
-  rebuilds the gallery and its analysis engines once per chunk and then
+* **fan-out** — misses become one group of service
+  :class:`~repro.service.protocol.Query` objects, solved by the serving
+  stack: inline on an :class:`~repro.service.pool.EnginePool` for
+  ``jobs=1``, or on a :class:`~repro.service.workers.SolverPool` of
+  ``jobs`` worker processes, which splits a large group into strided
+  chunks (interleaving use-case sizes so chunks cost about the same).
+  Each worker builds the gallery and its analysis engines once and then
   estimates its use-cases incrementally (warm-started weight-only
   solves), so the per-worker structural cost is paid once, not per
   use-case;
@@ -21,21 +24,19 @@ both:
 
 Galleries are described by :class:`GallerySpec` — a *recipe*, not the
 graphs themselves — so a spec pickles cheaply to workers and keys the
-store deterministically.
+store deterministically: an estimate is a pure function of its key.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
-import os
 import time as _time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.backend import get_backend
-from repro.core.estimator import ProbabilisticEstimator
 from repro.core.registry import validate_model_spec
 from repro.exceptions import ResourceManagerError
 from repro.experiments.setup import (
@@ -254,43 +255,6 @@ class SweepOutcome:
         return len(self.results)
 
 
-def _estimate_chunk(
-    gallery: GallerySpec,
-    model: str,
-    method_value: str,
-    use_cases: List[Tuple[str, ...]],
-    fixed_point_iterations: int,
-    backend: Optional[str] = None,
-) -> List[Dict[str, object]]:
-    """Worker entry point: rebuild the gallery, estimate one chunk.
-
-    Module-level (picklable) on purpose.  Engines are built once per
-    chunk; every estimate in the chunk is then incremental.
-    ``backend`` is the service's array-backend *name* (names pickle,
-    instances need not), so workers inherit the caller's choice.
-    """
-    suite = gallery.build()
-    estimator = ProbabilisticEstimator(
-        list(suite.graphs),
-        mapping=suite.mapping,
-        waiting_model=model,
-        analysis_method=AnalysisMethod(method_value),
-        backend=backend,
-    )
-    results = estimator.estimate_many(
-        [UseCase(tuple(names)) for names in use_cases],
-        iterations=fixed_point_iterations,
-    )
-    return [
-        {
-            "use_case": list(result.use_case.applications),
-            "periods": dict(result.periods),
-            "isolation": dict(result.isolation_periods),
-        }
-        for result in results
-    ]
-
-
 class SweepService:
     """Batched, parallel, store-backed use-case sweeps.
 
@@ -301,10 +265,10 @@ class SweepService:
         recomputes (hits stay 0).
     jobs:
         Worker processes for misses.  ``1`` (default) runs inline —
-        no pool, no pickling.  Capped at ``os.cpu_count()`` when a
-        sweep actually fans out: extra processes beyond the CPUs only
-        time-slice each other while still paying the per-chunk
-        gallery rebuild.
+        no pool, no pickling.  More drives a
+        :class:`~repro.service.workers.SolverPool`, which caps its
+        processes at ``os.cpu_count()``; :attr:`SweepOutcome.jobs`
+        reports that capped process count (1 inline).
     backend:
         Array backend selection forwarded to every estimator the
         service builds — in-process and in worker processes alike
@@ -388,6 +352,7 @@ class SweepService:
 
         self._metric_hits.inc(len(selected) - len(misses))
         self._metric_misses.inc(len(misses))
+        jobs = 1
         if misses:
             with self._tracer.span(
                 "sweep.compute",
@@ -397,9 +362,21 @@ class SweepService:
                 misses=len(misses),
                 jobs=self.jobs,
             ):
-                for key, record in self._compute(
-                    gallery, model, method, misses, fixed_point_iterations
-                ):
+                payloads, jobs = self._compute(
+                    [use_case for use_case, _ in misses],
+                    gallery,
+                    model,
+                    method,
+                    fixed_point_iterations,
+                )
+                for (use_case, key), payload in zip(misses, payloads):
+                    record = SweepRecord(
+                        use_case=tuple(use_case.applications),
+                        model=model,
+                        method=method.value,
+                        periods=payload["periods"],  # type: ignore[arg-type]
+                        isolation=payload["isolation"],  # type: ignore[arg-type]
+                    )
                     by_key[key] = record
                     if self.store is not None:
                         self.store.put(key, record)
@@ -408,7 +385,7 @@ class SweepService:
             results=[by_key[key] for key in keys],
             hits=len(selected) - len(misses),
             misses=len(misses),
-            jobs=self.jobs,
+            jobs=jobs,
             elapsed_seconds=_time.perf_counter() - started,
             gallery=gallery,
             model=model,
@@ -418,72 +395,32 @@ class SweepService:
     # ------------------------------------------------------------------
     def _compute(
         self,
+        use_cases: List[UseCase],
         gallery: GallerySpec,
         model: str,
         method: AnalysisMethod,
-        misses: List[Tuple[UseCase, Tuple[str, str, str, str]]],
         fixed_point_iterations: int,
-    ) -> List[Tuple[Tuple[str, str, str, str], SweepRecord]]:
-        # Cap the pool at the machine: ``jobs`` above the CPU count
-        # would spawn processes that only time-slice each other (each
-        # one still paying the per-chunk gallery rebuild), so the
-        # oversubscribed sweep was *slower* than the capped one.
-        chunk_count = min(self.jobs, len(misses), os.cpu_count() or 1)
-        chunks: List[List[Tuple[UseCase, Tuple[str, str, str, str]]]] = [
-            [] for _ in range(chunk_count)
+    ) -> Tuple[List[Dict[str, object]], int]:
+        """Solve the misses as one service query group; returns one
+        answer payload per use-case, in order, and the solver's process
+        count (1 inline)."""
+        # Function-local: the service layer imports this module.
+        from repro.service.pool import EnginePool
+        from repro.service.protocol import Query
+        from repro.service.workers import SolverPool
+
+        queries = [
+            Query(gallery=gallery, use_case=use_case, model=model, method=method)
+            for use_case in use_cases
         ]
-        # Round-robin interleaves use-case sizes (selection is ordered
-        # by size), balancing per-chunk analysis cost.
-        for position, item in enumerate(misses):
-            chunks[position % chunk_count].append(item)
-
-        def payload(chunk):
-            return [tuple(uc.applications) for uc, _ in chunk]
-
-        raw_chunks: List[List[Dict[str, object]]]
-        if chunk_count == 1:
-            raw_chunks = [
-                _estimate_chunk(
-                    gallery,
-                    model,
-                    method.value,
-                    payload(chunks[0]),
-                    fixed_point_iterations,
-                    self.backend,
-                )
-            ]
-        else:
-            with ProcessPoolExecutor(max_workers=chunk_count) as pool:
-                futures = [
-                    pool.submit(
-                        _estimate_chunk,
-                        gallery,
-                        model,
-                        method.value,
-                        payload(chunk),
-                        fixed_point_iterations,
-                        self.backend,
-                    )
-                    for chunk in chunks
-                ]
-                raw_chunks = [future.result() for future in futures]
-
-        computed: List[
-            Tuple[Tuple[str, str, str, str], SweepRecord]
-        ] = []
-        for chunk, raw in zip(chunks, raw_chunks):
-            for (use_case, key), data in zip(chunk, raw):
-                computed.append(
-                    (
-                        key,
-                        SweepRecord(
-                            use_case=tuple(use_case.applications),
-                            model=model,
-                            method=method.value,
-                            periods=dict(data["periods"]),  # type: ignore[arg-type]
-                            isolation=dict(data["isolation"]),  # type: ignore[arg-type]
-                            from_store=False,
-                        ),
-                    )
-                )
-        return computed
+        if self.jobs == 1:
+            pool = EnginePool(backend=self.backend)
+            return pool.solve(queries, fixed_point_iterations), 1
+        workers = SolverPool(workers=self.jobs, backend=self.backend)
+        try:
+            payloads = asyncio.run(
+                workers.solve(queries, fixed_point_iterations)
+            )
+        finally:
+            workers.shutdown()
+        return payloads, workers.workers

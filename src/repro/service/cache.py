@@ -3,9 +3,9 @@
 Keys follow the :class:`~repro.runtime.service.ResultStore` convention
 — ``(gallery label, use-case label, waiting model, analysis method)`` —
 so a cached service answer names exactly what a sweep-store line names.
-Unlike the store this cache is bounded and invalidatable: a gallery
-whose graphs or quality ladders changed can be dropped wholesale while
-every other gallery's entries stay warm.
+A gallery key is a recipe, so an entry is a pure function of its key
+and never goes stale; unlike the store this cache is bounded, and the
+least recently used entries make room for new ones.
 
 The cache is also the unit of fleet *mobility*: one gallery's entries
 can be exported as ``(key, payload)`` pairs and imported into another
@@ -32,7 +32,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    invalidations: int = 0
     imports: int = 0
 
 
@@ -67,10 +66,6 @@ class ResultCache:
             "repro_result_cache_evictions_total",
             "Cached results dropped by the LRU bound",
         )
-        self._metric_invalidations = registry.counter(
-            "repro_result_cache_invalidations_total",
-            "Cached results dropped by gallery invalidation",
-        )
         self._metric_imports = registry.counter(
             "repro_result_cache_imports_total",
             "Cached results imported from another shard "
@@ -100,15 +95,6 @@ class ResultCache:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
             self._metric_evictions.inc()
-
-    def invalidate_gallery(self, gallery_label: str) -> int:
-        """Drop every entry of one gallery; returns how many fell."""
-        stale = [key for key in self._entries if key[0] == gallery_label]
-        for key in stale:
-            del self._entries[key]
-        self.stats.invalidations += len(stale)
-        self._metric_invalidations.inc(len(stale))
-        return len(stale)
 
     # -- fleet mobility -------------------------------------------------
     def gallery_labels(self) -> List[str]:
@@ -159,6 +145,5 @@ class ResultCache:
             "hits": self.stats.hits,
             "misses": self.stats.misses,
             "evictions": self.stats.evictions,
-            "invalidations": self.stats.invalidations,
             "imports": self.stats.imports,
         }

@@ -241,9 +241,6 @@ class ServiceClient:
         plus the JSON ``snapshot``."""
         return await self._call({"op": "metrics"})
 
-    async def invalidate(self, gallery: Dict[str, object]) -> Dict[str, object]:
-        return await self._call({"op": "invalidate", "gallery": dict(gallery)})
-
     async def shutdown(self) -> Dict[str, object]:
         return await self._call({"op": "shutdown"})
 

@@ -175,15 +175,6 @@ class EnginePool:
             for query, result in zip(queries, results)
         ]
 
-    def invalidate(self, spec: GallerySpec) -> bool:
-        """Drop a gallery's warm state (its graphs/qualities changed).
-
-        Returns whether anything was actually held for the recipe.  The
-        server pairs this with the result cache's invalidation so stale
-        engines and stale cached periods disappear together.
-        """
-        return self._galleries.pop(spec.label(), None) is not None
-
     def snapshot(self) -> Dict[str, object]:
         """Pool state for the ``stats`` response (JSON-serializable)."""
         engine_solves = 0

@@ -16,18 +16,17 @@ Requests::
      2007, "applications": 8}, "use_case": ["A0", "A3"],
      "model": "second_order", "method": "mcr"}
     {"id": 3, "op": "stats"}
-    {"id": 4, "op": "invalidate", "gallery": {...}}
-    {"id": 5, "op": "shutdown"}
-    {"id": 6, "op": "metrics"}
-    {"id": 7, "op": "place", "gallery": {...}, "strategy": "greedy",
+    {"id": 4, "op": "shutdown"}
+    {"id": 5, "op": "metrics"}
+    {"id": 6, "op": "place", "gallery": {...}, "strategy": "greedy",
      "model": "wrr", "objective": "total_period", "seed": 0,
      "slack": 4.5}
-    {"id": 8, "op": "estimate_batch", "gallery": {...},
+    {"id": 7, "op": "estimate_batch", "gallery": {...},
      "use_cases": [["A0"], ["A0", "A3"]], "model": "second_order",
      "method": "mcr"}
-    {"id": 9, "op": "cache_export", "galleries": ["paper:2007:8"],
+    {"id": 8, "op": "cache_export", "galleries": ["paper:2007:8"],
      "limit": 256}
-    {"id": 10, "op": "cache_import", "entries": [[[...key...],
+    {"id": 9, "op": "cache_import", "entries": [[[...key...],
      {...payload...}], ...]}
 
 ``estimate_batch`` asks one gallery several use-case questions in a
@@ -131,7 +130,7 @@ def decode_message(line: bytes) -> Dict[str, object]:
 
 
 def parse_gallery(data: object) -> GallerySpec:
-    """Build the gallery recipe named by an ``estimate``/``invalidate``
+    """Build the gallery recipe named by an ``estimate``/``place``
     payload.  ``applications`` mirrors the CLI's ``--suite N``;
     ``application_count`` is accepted as the dataclass-field spelling."""
     if not isinstance(data, dict):

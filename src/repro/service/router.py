@@ -26,10 +26,9 @@ and one engine pool.  The fleet layer runs N server processes
   Failover candidates are recomputed from the live ring *per attempt*
   (a preference list captured before a concurrent ``_mark_down`` would
   waste retries on shards the router already knows are dead).  A
-  resurrected shard re-joins the ring at the next health tick — after
-  every gallery invalidation it missed while down has been **replayed**
-  to it, so a shard that slept through an ``invalidate`` broadcast can
-  never serve its stale cache to the fleet.
+  resurrected shard re-joins the ring at the next health tick.  Its
+  cache needs no repair: a gallery is a recipe, so a cached answer is
+  a pure function of its key and cannot go stale.
 
 The fleet is **elastic** (PR 10):
 
@@ -53,9 +52,7 @@ The fleet is **elastic** (PR 10):
   concurrent questions cost one round-trip of framing instead of N.
 
 ``stats``/``metrics`` aggregate the router's own counters with every
-live shard's; ``invalidate`` broadcasts (any shard may have served the
-gallery before a ring change) and *queues* an invalidation epoch for
-down shards; ``shutdown`` stops the router — shards are separate
+live shard's; ``shutdown`` stops the router — shards are separate
 processes with their own lifecycles.
 """
 
@@ -83,7 +80,6 @@ from repro.service.protocol import (
     Query,
     parse_estimate,
     parse_estimate_batch,
-    parse_gallery,
     parse_place,
     unique_queries,
     wire_gallery,
@@ -124,11 +120,6 @@ class _Shard:
     failures: int = 0
     forwarded: int = 0
     lock: asyncio.Lock = field(default_factory=asyncio.Lock)
-    #: Per-gallery invalidation epoch this shard has acknowledged.  A
-    #: shard whose ack lags the router's epoch for a gallery holds a
-    #: potentially stale cache for it — it must not serve that gallery
-    #: until the invalidation is replayed (the stale-rejoin fix).
-    acked: Dict[str, int] = field(default_factory=dict)
     #: Set when ``leave`` starts: a retiring shard never re-enters the
     #: ring, even if a health probe lands during its hand-off.
     retiring: bool = False
@@ -281,23 +272,6 @@ class ShardRouter(JsonLinesEndpoint):
             "Cached answers moved between shards by join/leave hand-offs",
             always=True,
         )
-        self._metric_replayed = counter(
-            "repro_router_invalidations_replayed_total",
-            "Queued gallery invalidations replayed to rejoining shards",
-            always=True,
-        )
-        self._metric_stale_risk = counter(
-            "repro_router_stale_risk_total",
-            "Forwards to a shard lagging a gallery's invalidation epoch "
-            "(0 when the rejoin-replay protocol holds)",
-            always=True,
-        )
-        #: Per-gallery invalidation epoch + the wire recipe to replay.
-        self._gallery_epochs: Dict[str, int] = {}
-        self._gallery_recipes: Dict[str, Dict[str, object]] = {}
-        #: Labels whose broadcast is mid-flight — forwards during the
-        #: broadcast race it benignly and are not a protocol violation.
-        self._invalidating: "set[str]" = set()
         #: Estimates waiting for their group's hop, by group.
         self._pending: Dict[
             Tuple[str, str, str], List[_RoutedQuery]
@@ -312,7 +286,6 @@ class ShardRouter(JsonLinesEndpoint):
                 "place": self._forward_place,
                 "stats": self._stats,
                 "metrics": self._metrics,
-                "invalidate": self._broadcast_invalidate,
                 "join": self._join,
                 "leave": self._leave,
                 "shutdown": self._shutdown,
@@ -395,26 +368,6 @@ class ShardRouter(JsonLinesEndpoint):
         if shard.name not in self._ring:
             self._ring.add(shard.name)
 
-    async def _replay_invalidations(self, shard: _Shard) -> int:
-        """Bring a rejoining shard's caches up to the fleet's epochs.
-
-        A shard that was down during an ``invalidate`` broadcast kept
-        its stale :class:`~repro.service.cache.ResultCache` and warm
-        engines; replaying every missed gallery invalidation *before*
-        the shard re-enters the ring is what makes resurrection safe.
-        Raises on failure — the caller must then leave the shard down.
-        """
-        replayed = 0
-        client = await self._client(shard)
-        for label, epoch in list(self._gallery_epochs.items()):
-            if shard.acked.get(label, 0) >= epoch:
-                continue
-            await client.invalidate(self._gallery_recipes[label])
-            shard.acked[label] = epoch
-            replayed += 1
-            self._metric_replayed.inc()
-        return replayed
-
     async def _ping_shard(self, shard: _Shard) -> None:
         await (await self._client(shard)).ping()
 
@@ -423,16 +376,11 @@ class ShardRouter(JsonLinesEndpoint):
 
         The ping is bounded by ``health_interval``: a shard that accepts
         connections but never answers is down, and must neither stall
-        the fleet's health sweep nor keep its galleries.  A down shard
-        only comes back up once every gallery invalidation it slept
-        through has been replayed — an unreplayable shard stays off the
-        ring (the stale-rejoin fix)."""
+        the fleet's health sweep nor keep its galleries."""
         try:
             await asyncio.wait_for(
                 self._ping_shard(shard), self.health_interval or None
             )
-            if not shard.healthy:
-                await self._replay_invalidations(shard)
         except (
             ServiceConnectionError,
             ConnectionError,
@@ -444,8 +392,8 @@ class ShardRouter(JsonLinesEndpoint):
             self._mark_down(shard)
             return False
         except ServiceError:
-            # The shard is reachable but refused an invalidation
-            # replay: it must not serve until a later probe succeeds.
+            # An error reply over a live transport: do not flip the
+            # shard either way, a later probe decides.
             return False
         self._mark_up(shard)
         return True
@@ -500,17 +448,6 @@ class ShardRouter(JsonLinesEndpoint):
                 self._metric_retries.inc()
             attempts += 1
             tried.add(shard.name)
-            epoch = self._gallery_epochs.get(label, 0)
-            if (
-                epoch
-                and label not in self._invalidating
-                and shard.acked.get(label, 0) < epoch
-            ):
-                # Should be impossible: healthy shards ack at broadcast
-                # time, rejoiners replay before re-entering the ring and
-                # joiners ack on entry.  Counted, not raised — serving a
-                # possibly-stale answer beats serving none.
-                self._metric_stale_risk.inc()
             try:
                 return shard, await attempt(shard, attempts)
             except (ServiceConnectionError, ConnectionError) as error:
@@ -552,12 +489,9 @@ class ShardRouter(JsonLinesEndpoint):
             raise ServiceError(f"shard {name!r} is leaving the fleet")
         if known is not None:
             # A known-but-down shard: admin-driven resurrection walks
-            # the same replay-then-rejoin path as the health loop.
+            # the same probe-then-rejoin path as the health loop.
             if not await self._probe(known):
-                raise ServiceError(
-                    f"shard {name!r} is unreachable or refused the "
-                    f"invalidation replay"
-                )
+                raise ServiceError(f"shard {name!r} is unreachable")
             self._metric_joins.inc()
             return {
                 "shard": name,
@@ -605,9 +539,6 @@ class ShardRouter(JsonLinesEndpoint):
                 moved_galleries.extend(str(label) for label in labels)
             except (ServiceConnectionError, ConnectionError):
                 self._mark_down(survivor)
-        # The joiner's cache holds only entries exported from healthy
-        # (fully acked) survivors: it starts current on every epoch.
-        shard.acked = dict(self._gallery_epochs)
         self._shards[name] = shard
         self._ring.add(name)
         self._metric_joins.inc()
@@ -847,10 +778,8 @@ class ShardRouter(JsonLinesEndpoint):
     ) -> None:
         """Asynchronously copy a fresh answer to ring-successor shards.
 
-        Cache hits are skipped (the serving shard already holds the
-        entry it just read) and so are answers for galleries whose
-        epoch moved — a replica of a pre-invalidation answer must never
-        land after the invalidation.
+        Cache hits are skipped: the serving shard already holds the
+        entry it just read.
         """
         if (
             self.replication < 1
@@ -874,7 +803,6 @@ class ShardRouter(JsonLinesEndpoint):
                 break
         if not targets:
             return
-        epoch = self._gallery_epochs.get(label, 0)
         entry = [
             list(key),
             {
@@ -884,21 +812,15 @@ class ShardRouter(JsonLinesEndpoint):
             },
         ]
         task = asyncio.get_running_loop().create_task(
-            self._send_replica(targets, label, epoch, entry)
+            self._send_replica(targets, entry)
         )
         self._replica_tasks.add(task)
         task.add_done_callback(self._replica_tasks.discard)
 
     async def _send_replica(
-        self,
-        targets: List[_Shard],
-        label: str,
-        epoch: int,
-        entry: List[object],
+        self, targets: List[_Shard], entry: List[object]
     ) -> None:
         for shard in targets:
-            if self._gallery_epochs.get(label, 0) != epoch:
-                return  # invalidated since the solve: drop the replica
             try:
                 await (await self._client(shard)).cache_import([entry])
                 self._metric_replications.inc()
@@ -962,43 +884,6 @@ class ShardRouter(JsonLinesEndpoint):
         result["shard"] = shard.name
         return result
 
-    async def _broadcast_invalidate(
-        self, payload: Dict[str, object], *_: object
-    ) -> Dict[str, object]:
-        spec = parse_gallery(payload.get("gallery"))
-        label = spec.label()
-        gallery = wire_gallery(spec)
-        # The epoch bump is the fence: a down shard keeps its stale
-        # cache, but its ack now lags, so it cannot rejoin the ring
-        # until the invalidation is replayed to it.
-        epoch = self._gallery_epochs.get(label, 0) + 1
-        self._gallery_epochs[label] = epoch
-        self._gallery_recipes[label] = gallery
-        self._invalidating.add(label)
-        results: Dict[str, object] = {}
-        try:
-            for shard in list(self._shards.values()):
-                if not shard.healthy:
-                    results[shard.name] = {
-                        "skipped": "shard down",
-                        "queued": True,
-                    }
-                    continue
-                try:
-                    results[shard.name] = await (
-                        await self._client(shard)
-                    ).invalidate(gallery)
-                    shard.acked[label] = epoch
-                except (ServiceConnectionError, ConnectionError) as error:
-                    self._mark_down(shard)
-                    results[shard.name] = {
-                        "skipped": str(error),
-                        "queued": True,
-                    }
-        finally:
-            self._invalidating.discard(label)
-        return {"gallery": label, "epoch": epoch, "shards": results}
-
     async def _stats(self, *_: object) -> Dict[str, object]:
         shards: Dict[str, object] = {}
         for shard in list(self._shards.values()):
@@ -1047,8 +932,6 @@ class ShardRouter(JsonLinesEndpoint):
             "joins": int(self._metric_joins.value),
             "leaves": int(self._metric_leaves.value),
             "handoff_entries": int(self._metric_handoff_entries.value),
-            "invalidations_replayed": int(self._metric_replayed.value),
-            "stale_risk": int(self._metric_stale_risk.value),
             "per_shard_forwarded": {
                 shard.name: shard.forwarded
                 for shard in self._shards.values()

@@ -19,9 +19,8 @@ one batched solve instead of N scalar ones.
 On top of the batcher sit:
 
 * a bounded LRU :class:`~repro.service.cache.ResultCache` keyed like
-  the sweep service's result store, with per-gallery invalidation (the
-  ``invalidate`` op drops cached answers *and* the gallery's warm
-  engines together, for when graphs or quality ladders change);
+  the sweep service's result store (a gallery is a recipe, so an answer
+  is a pure function of its key and a cached one never goes stale);
 * a load-shedding hook reusing the runtime layer's QoS policy
   vocabulary (:func:`~repro.runtime.manager.make_qos_policy`): when the
   pending queue exceeds ``max_pending``, ``reject`` refuses the
@@ -62,7 +61,6 @@ from repro.service.protocol import (
     parse_cache_export,
     parse_estimate,
     parse_estimate_batch,
-    parse_gallery,
     parse_place,
     unique_queries,
 )
@@ -363,7 +361,6 @@ class EstimationServer(JsonLinesEndpoint):
                 "place": self._place,
                 "stats": self._stats,
                 "metrics": self._metrics,
-                "invalidate": self._invalidate,
                 "cache_export": self._cache_export,
                 "cache_import": self._cache_import,
                 "shutdown": self._shutdown,
@@ -405,10 +402,6 @@ class EstimationServer(JsonLinesEndpoint):
         self._batcher: Optional["asyncio.Task[None]"] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._workers: Optional[SolverPool] = None
-        #: Per-gallery invalidation epoch — the fence that keeps a solve
-        #: dispatched *before* an ``invalidate`` from re-populating the
-        #: cache *after* it (see :meth:`_invalidate`).
-        self._gallery_versions: Dict[str, int] = {}
         self._busy = False
 
     # ------------------------------------------------------------------
@@ -421,7 +414,7 @@ class EstimationServer(JsonLinesEndpoint):
                 # Multiprocess mode: persistent worker processes with
                 # warm per-process engine pools; the in-process
                 # EnginePool stays quiescent (nothing mutates it), so
-                # stats/invalidate may touch it loop-side directly.
+                # stats may read it loop-side directly.
                 self._workers = SolverPool(
                     self.solver_workers,
                     backend=self._backend_name,
@@ -654,9 +647,9 @@ class EstimationServer(JsonLinesEndpoint):
         """Run a pool-touching call on the solver thread.
 
         The pool is mutated by solves on the single worker thread;
-        routing ``stats``/``invalidate`` pool access through the same
-        executor serializes it against in-flight solves instead of
-        racing their dict mutations.
+        routing the ``stats`` pool read through the same executor
+        serializes it against in-flight solves instead of racing their
+        dict mutations.
         """
         if self._executor is None:  # quiesced (before start/after close)
             return call(*args)
@@ -727,31 +720,6 @@ class EstimationServer(JsonLinesEndpoint):
             },
             trace_id,
         )
-
-    async def _invalidate(
-        self, payload: Dict[str, object], *_: object
-    ) -> Dict[str, object]:
-        """Drop one gallery's cached answers and warm engines.
-
-        The version bump happens *first*, synchronously on the loop: a
-        batch that was dispatched to a solver before this invalidation
-        carries the old version, and :meth:`_run_batch` refuses to
-        cache its (potentially stale-engine) results — the fence that
-        closes the solve-in-flight-during-invalidate race.
-        """
-        spec = parse_gallery(payload.get("gallery"))
-        label = spec.label()
-        self._gallery_versions[label] = self._gallery_versions.get(label, 0) + 1
-        dropped_entries = self.cache.invalidate_gallery(label)
-        dropped_pool = await self._in_solver_thread(self.pool.invalidate, spec)
-        result: Dict[str, object] = {
-            "gallery": label,
-            "pool_dropped": dropped_pool,
-            "cache_dropped": dropped_entries,
-        }
-        if self._workers is not None:
-            result["workers_dropped"] = await self._workers.invalidate(spec)
-        return result
 
     # ------------------------------------------------------------------
     # The batcher
@@ -825,18 +793,12 @@ class EstimationServer(JsonLinesEndpoint):
         unique, trace_ids = unique_queries(members)
         queries = list(unique.values())
         first = queries[0]
-        # Fence: remember the gallery's invalidation epoch *before* the
-        # solve leaves the loop.  An ``invalidate`` arriving while the
-        # solve is in flight bumps the epoch, and the stale results
-        # then answer their waiters but never enter the cache.
-        gallery_label = first.gallery.label()
-        version = self._gallery_versions.get(gallery_label, 0)
         self.stats.record_solved(len(queries))
         try:
             with self.tracer.span(
                 "service.solve",
                 trace_id=trace_ids[0] if len(trace_ids) == 1 else None,
-                gallery=gallery_label,
+                gallery=first.gallery.label(),
                 model=first.model,
                 method=first.method.value,
                 queries=len(queries),
@@ -861,11 +823,9 @@ class EstimationServer(JsonLinesEndpoint):
                     pending.future.set_exception(ServiceError(str(error)))
             return
         by_key = dict(zip(unique.keys(), payloads))
-        fresh = self._gallery_versions.get(gallery_label, 0) == version
         for key, payload in by_key.items():
             payload["batch_size"] = batch_size
-            if fresh:
-                self.cache.put(key, payload)
+            self.cache.put(key, payload)
         for pending in members:
             if pending.future.done():  # evicted or disconnected mid-flight
                 continue

@@ -5,10 +5,10 @@ are stateful, so one thread serialized every batch, and the 3.8x
 micro-batching win was capped at a single core.  :class:`SolverPool`
 lifts that cap: each worker slot is its own single-process
 ``ProcessPoolExecutor`` whose long-lived worker owns a warm per-process
-:class:`~repro.service.pool.EnginePool` (the same worker-rebuilds-once
-machinery as :mod:`repro.runtime.service`'s sweep workers, made
-persistent), so batches of different galleries solve genuinely in
-parallel while every gallery's structural work is still paid once.
+:class:`~repro.service.pool.EnginePool`, so batches of different
+galleries solve genuinely in parallel while every gallery's structural
+work is still paid once.  The same pool fans out ``repro sweep --jobs
+N`` (:class:`~repro.runtime.service.SweepService`).
 
 Placement is gallery-affine via the consistent-hash ring
 (:class:`~repro.service.hashring.HashRing`): a gallery's batches land
@@ -32,10 +32,9 @@ import asyncio
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import ServiceError
-from repro.runtime.service import GallerySpec
 from repro.service.hashring import HashRing
 from repro.service.protocol import Query
 from repro.telemetry import MetricsRegistry, Tracer, get_registry
@@ -56,10 +55,6 @@ MAX_REDRIVES = 2
 # ----------------------------------------------------------------------
 _WORKER_POOL = None
 _WORKER_INDEX: int = -1
-#: Gallery labels whose invalidation was replayed into this process at
-#: spawn time (see :meth:`SolverPool._executor`) — surfaced by
-#: :func:`_worker_snapshot` so tests can assert the replay happened.
-_WORKER_REPLAYED: List[str] = []
 
 
 def _init_worker(
@@ -81,39 +76,10 @@ def _worker_solve(queries: List[Query], iterations: int) -> List[Dict[str, objec
     return _WORKER_POOL.solve(queries, iterations)
 
 
-def _worker_invalidate(gallery: GallerySpec) -> bool:
-    """Drop one gallery's warm engines in this worker process."""
-    assert _WORKER_POOL is not None, "worker used before initialization"
-    return _WORKER_POOL.invalidate(gallery)
-
-
-def _worker_replay_invalidations(
-    galleries: Sequence[GallerySpec],
-) -> int:
-    """Replay the pool's invalidation history into a fresh process.
-
-    Submitted as the very first job of every newly spawned slot (the
-    single-worker executor is FIFO, so it runs before any solve), this
-    guarantees a slot spawned *after* an ``invalidate`` can never serve
-    a pre-invalidate warm engine — however the process came to exist.
-    """
-    assert _WORKER_POOL is not None, "worker used before initialization"
-    dropped = 0
-    for gallery in galleries:
-        if _WORKER_POOL.invalidate(gallery):
-            dropped += 1
-        _WORKER_REPLAYED.append(gallery.label())
-    return dropped
-
-
 def _worker_snapshot() -> Dict[str, object]:
     """This worker's pool counters, for the ``stats`` op."""
     assert _WORKER_POOL is not None, "worker used before initialization"
-    return dict(
-        _WORKER_POOL.snapshot(),
-        worker=_WORKER_INDEX,
-        replayed_invalidations=list(_WORKER_REPLAYED),
-    )
+    return dict(_WORKER_POOL.snapshot(), worker=_WORKER_INDEX)
 
 
 # ----------------------------------------------------------------------
@@ -183,11 +149,6 @@ class SolverPool:
             "In-flight batches re-driven after a worker crash",
             always=True,
         )
-        self._metric_invalidation_replays = registry.counter(
-            "repro_service_worker_invalidation_replays_total",
-            "Invalidation histories replayed into freshly spawned slots",
-            always=True,
-        )
         # Ring nodes are worker *slots*; a respawned slot keeps its
         # name, so affinity survives crashes.
         self._ring = HashRing([f"worker-{i}" for i in range(self.workers)])
@@ -196,12 +157,6 @@ class SolverPool:
         ]
         self._generations: List[int] = [0 for _ in range(self.workers)]
         self._batch_counts: List[int] = [0 for _ in range(self.workers)]
-        #: Every gallery ever invalidated on this pool, by label.  A
-        #: slot that spawns (or respawns) later replays this history
-        #: before its first solve — ``invalidate`` awaiting only the
-        #: already-spawned slots must not leave future slots a way to
-        #: serve pre-invalidate warm state.
-        self._invalidated: Dict[str, GallerySpec] = {}
         self._closed = False
 
     # -- slot management ------------------------------------------------
@@ -216,14 +171,6 @@ class SolverPool:
                 initargs=(slot, self.backend, self.max_galleries),
             )
             self._executors[slot] = executor
-            if self._invalidated:
-                # First job on the fresh slot: replay the invalidation
-                # history (FIFO beats any solve submitted afterwards).
-                executor.submit(
-                    _worker_replay_invalidations,
-                    list(self._invalidated.values()),
-                )
-                self._metric_invalidation_replays.inc()
         return executor
 
     def _respawn(self, slot: int, observed_generation: int) -> None:
@@ -333,30 +280,6 @@ class SolverPool:
         raise AssertionError("unreachable")  # pragma: no cover
 
     # -- maintenance ----------------------------------------------------
-    async def invalidate(self, gallery: GallerySpec) -> int:
-        """Drop a gallery's warm engines in *every* live worker;
-        returns how many workers actually held it.
-
-        The gallery is also recorded so slots spawned *after* this call
-        replay the invalidation before their first solve — never-spawned
-        slots are skipped below, which would otherwise be a hole."""
-        self._invalidated[gallery.label()] = gallery
-        loop = asyncio.get_running_loop()
-        dropped = 0
-        for slot in range(self.workers):
-            if self._executors[slot] is None:
-                continue  # never spawned: nothing warm to drop
-            try:
-                if await loop.run_in_executor(
-                    self._executors[slot], _worker_invalidate, gallery
-                ):
-                    dropped += 1
-            except BrokenProcessPool:
-                # A dead worker holds nothing warm; the next solve on
-                # this slot respawns it.
-                self._respawn(slot, self._generations[slot])
-        return dropped
-
     def local_snapshot(self) -> Dict[str, object]:
         """Loop-side pool view — no worker round-trips, safe anywhere."""
         return {
@@ -364,10 +287,6 @@ class SolverPool:
             "split_threshold": self.split_threshold,
             "respawns": int(self._metric_respawns.value),
             "redrives": int(self._metric_redrives.value),
-            "invalidation_replays": int(
-                self._metric_invalidation_replays.value
-            ),
-            "invalidated_galleries": sorted(self._invalidated),
             "per_worker": [
                 {
                     "worker": slot,

@@ -4,7 +4,7 @@ The async server tests each spin a real TCP server on an ephemeral
 port inside ``asyncio.run`` — no event-loop plugins — and talk to it
 through the public client, so what is asserted is the wire behaviour:
 concurrent-client parity against direct estimation (<= 1e-9 relative),
-cross-request dedup, cache hit/invalidation semantics, overload
+cross-request dedup, cache hit semantics, overload
 shedding under every QoS policy, and graceful shutdown.
 """
 
@@ -160,13 +160,6 @@ class TestEnginePool:
         snapshot = pool.snapshot()
         assert specs[0].label() not in snapshot["galleries"]
 
-    def test_invalidate(self):
-        pool = EnginePool()
-        pool.estimator(SPEC, "second_order", AnalysisMethod.MCR)
-        assert pool.invalidate(SPEC) is True
-        assert pool.invalidate(SPEC) is False
-        assert len(pool) == 0
-
     def test_rejects_bad_bound(self):
         with pytest.raises(ServiceError):
             EnginePool(max_galleries=0)
@@ -196,15 +189,6 @@ class TestResultCache:
         assert cache.get(self.key(1)) is None
         assert cache.get(self.key(0)) is not None
         assert cache.stats.evictions == 1
-
-    def test_invalidate_gallery_is_selective(self):
-        cache = ResultCache()
-        cache.put(self.key(0, "left"), {})
-        cache.put(self.key(1, "left"), {})
-        cache.put(self.key(0, "right"), {})
-        assert cache.invalidate_gallery("left") == 2
-        assert len(cache) == 1
-        assert cache.get(self.key(0, "right")) is not None
 
     def test_zero_entries_disables_storage(self):
         cache = ResultCache(max_entries=0)
@@ -300,27 +284,21 @@ class TestServer:
         first = results[0]["periods"]
         assert all(result["periods"] == first for result in results)
 
-    def test_cache_hits_and_gallery_invalidation(self):
+    def test_cache_hits(self):
         async def scenario(server, host, port):
             client = await ServiceClient.connect(host, port)
             try:
                 first = await client.estimate([names()[0]], gallery=GALLERY)
                 second = await client.estimate([names()[0]], gallery=GALLERY)
-                dropped = await client.invalidate(GALLERY)
-                third = await client.estimate([names()[0]], gallery=GALLERY)
             finally:
                 await client.aclose()
-            return first, second, dropped, third, server.snapshot()
+            return first, second, server.snapshot()
 
-        first, second, dropped, third, stats = serve(scenario)
+        first, second, stats = serve(scenario)
         assert first["cached"] is False
         assert second["cached"] is True
         assert second["periods"] == first["periods"]
-        assert dropped["pool_dropped"] is True
-        assert dropped["cache_dropped"] == 1
-        assert third["cached"] is False  # graph may have changed
-        assert third["periods"] == first["periods"]
-        assert stats["pool"]["gallery_builds"] == 2  # rebuilt once
+        assert stats["pool"]["gallery_builds"] == 1
 
     def test_cached_entries_never_reach_the_solver(self):
         async def scenario(server, host, port):

@@ -13,10 +13,6 @@ Every scenario runs a real in-process fleet (TCP servers behind a
 * the router micro-batcher coalesces concurrent same-gallery queries
   into one framed ``estimate_batch`` per shard hop, deduplicated by
   query key, with per-member trace echo;
-* the stale-rejoin regression: an ``invalidate`` broadcast that a down
-  shard missed is queued by epoch and replayed before the shard may
-  rejoin the ring — a resurrected shard can never serve its stale
-  cache (this test fails on the pre-fix router);
 * the failover-recompute regression: retry candidates are recomputed
   from the live ring per attempt, so a retry never burns its budget on
   a shard a concurrent ``_mark_down`` already declared dead;
@@ -263,7 +259,6 @@ class TestJoin:
             assert result["cached"] is True
         assert stats["joins"] == 1
         assert stats["handoff_entries"] == len(movers)
-        assert stats["stale_risk"] == 0
 
     def test_join_duplicate_and_unreachable_fail_loudly(self):
         async def scenario(client, router, servers, addresses):
@@ -451,69 +446,6 @@ class TestReplication:
             ShardRouter([("h", 1)], handoff_limit=-1)
         with pytest.raises(ServiceError, match="max_batch"):
             ShardRouter([("h", 1)], max_batch=0)
-
-
-# ----------------------------------------------------------------------
-# The stale-rejoin regression (the headline fix)
-# ----------------------------------------------------------------------
-class TestInvalidateQueuedForDownShards:
-    def test_missed_invalidate_replays_before_rejoin(self):
-        """A shard partitioned away during an ``invalidate`` broadcast
-        keeps its warm cache; on the pre-fix router the health loop's
-        ``_mark_up`` put it straight back on the ring and it served the
-        stale cache.  Now the missed invalidation is queued by epoch
-        and replayed *before* ring re-entry."""
-
-        async def scenario(client, router, servers, addresses):
-            first = await client.estimate([names()[0]], gallery=GALLERY)
-            warm = await client.estimate([names()[0]], gallery=GALLERY)
-            home = router._shards[first["shard"]]
-            # Network partition: the router loses the shard; the shard
-            # itself stays alive, warm cache intact.
-            router._mark_down(home)
-            broadcast = await client.invalidate(GALLERY)
-            queued = broadcast["shards"][home.name]
-            # The partition heals: the probe path (what the health
-            # loop runs) resurrects the shard — after the replay.
-            assert await router._probe(home)
-            after = await client.estimate([names()[0]], gallery=GALLERY)
-            return warm, queued, home.name, after, router.snapshot()
-
-        warm, queued, home, after, stats = fleet(scenario)
-        assert warm["cached"] is True  # the cache really was warm
-        assert queued["queued"] is True
-        # The resurrected home shard serves again — but *fresh*: the
-        # replayed invalidation emptied its cache.  On the pre-fix
-        # router this answer comes back cached=True (stale).
-        assert after["shard"] == home
-        assert after["cached"] is False
-        assert stats["invalidations_replayed"] == 1
-        assert stats["stale_risk"] == 0
-        assert stats["shard_up"] == 1
-
-    def test_unreplayable_shard_stays_off_the_ring(self):
-        """If the invalidation replay itself fails, the shard must not
-        rejoin — serving nothing beats serving stale answers."""
-
-        async def scenario(client, router, servers, addresses):
-            first = await client.estimate([names()[0]], gallery=GALLERY)
-            home = router._shards[first["shard"]]
-            router._mark_down(home)
-            await client.invalidate(GALLERY)
-            victim = next(
-                index
-                for index, address in enumerate(addresses)
-                if f"{address[0]}:{address[1]}" == home.name
-            )
-            # The shard truly dies now: ping fails, replay impossible.
-            await servers[victim].aclose()
-            assert not await router._probe(home)
-            return home.name, router.snapshot()
-
-        home, stats = fleet(scenario)
-        assert stats["shards"][home] is False
-        assert stats["live_shards"] == 1
-        assert stats["shard_up"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -756,12 +688,10 @@ class TestElasticityUnderLoad:
         assert left["live_shards"] == 2
         assert stats["joins"] == 1
         assert stats["leaves"] == 1
-        assert stats["stale_risk"] == 0
 
     def test_service_load_churn_harness(self):
-        """The ``--churn`` load scenario drives join / invalidate /
-        kill / leave mid-run and must come back clean: every query
-        answered, zero stale risk."""
+        """The ``--churn`` load scenario drives join / kill / leave
+        mid-run and must come back clean: every query answered."""
         report = run_load(
             LoadConfig(
                 clients=4,
@@ -775,18 +705,15 @@ class TestElasticityUnderLoad:
         assert report.errors == 0
         assert report.queries == 4 * 8
         assert report.router is not None
-        assert report.router["stale_risk"] == 0
         assert [event["event"] for event in report.churn_events] == [
             "join",
-            "invalidate",
             "kill",
             "leave",
         ]
         assert report.router["joins"] == 1
         assert report.router["leaves"] == 1
         payload = report.to_json()
-        assert payload["router"]["stale_risk"] == 0
-        assert len(payload["churn_events"]) == 4
+        assert len(payload["churn_events"]) == 3
 
     def test_churn_requires_a_fleet(self):
         from repro.exceptions import ExperimentError

@@ -116,15 +116,16 @@ class TestEndpoint:
         acknowledged = serve_raw(kind, scenario)
         assert acknowledged == {"id": 5, "ok": True, "result": {"stopping": True}}
 
-    def test_unknown_op_lists_the_valid_ops(self, kind):
+    @pytest.mark.parametrize("op", ["dance", "invalidate"])
+    def test_unknown_op_lists_the_valid_ops(self, kind, op):
         async def scenario(front, reader, writer):
-            await send(writer, request(id=4, op="dance"))
+            await send(writer, request(id=4, op=op))
             return await receive(reader), list(front.operations)
 
         response, operations = serve_raw(kind, scenario)
         assert response["ok"] is False
         assert response["error"] == (
-            f"unknown op 'dance' (expected one of {', '.join(operations)})"
+            f"unknown op {op!r} (expected one of {', '.join(operations)})"
         )
         assert "estimate" in operations and "shutdown" in operations
         assert ("join" in operations) == (kind == "router")

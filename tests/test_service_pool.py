@@ -3,11 +3,9 @@
 Every scenario runs real worker *processes* (single-worker
 ``ProcessPoolExecutor`` slots) — parity against the thread-mode server,
 gallery affinity, strided group splitting, crash respawn/re-drive,
-graceful shutdown that leaves no child process behind, plus the two
-concurrency fixes that make the pool safe to operate: eager reaping of
-disconnected clients' pending queries and the invalidation fence that
-keeps an in-flight solve from re-populating the cache with stale
-results.
+graceful shutdown that leaves no child process behind, plus the
+concurrency fix that makes the pool safe to operate: eager reaping of
+disconnected clients' pending queries.
 
 Worker counts are capped at ``os.cpu_count()`` in production; tests
 monkeypatch the count up so multi-worker placement is exercised even
@@ -20,7 +18,6 @@ import asyncio
 import contextlib
 import multiprocessing
 import os
-import threading
 
 import pytest
 
@@ -184,64 +181,6 @@ class TestSolverPool:
 
         asyncio.run(scenario())
 
-    def test_invalidate_reaches_slots_spawned_later(self, many_cpus):
-        """``invalidate`` can only await slots that already exist; a
-        slot spawned lazily afterwards (or respawned after a crash)
-        must replay the invalidation history before its first solve,
-        so no slot can ever serve pre-invalidate warm state."""
-
-        async def scenario():
-            from repro.runtime.service import GallerySpec
-
-            pool = SolverPool(
-                2,
-                split_threshold=1,
-                registry=MetricsRegistry(enabled=True),
-            )
-            try:
-                spec = GallerySpec(
-                    kind="paper", seed=2007, application_count=4
-                )
-                # Invalidate before ANY slot exists: there is nothing
-                # to await, only history to record.
-                assert await pool.invalidate(spec) == 0
-                # The first solve lazily spawns the home slot — the
-                # replay must already be queued ahead of the solve.
-                await pool.solve(all_single_queries()[:1])
-                snapshot = await pool.snapshot()
-                spawned = [
-                    entry
-                    for entry in snapshot["per_worker"]
-                    if entry["spawned"]
-                ]
-                assert len(spawned) == 1
-                assert spawned[0]["replayed_invalidations"] == [
-                    "paper:2007:4"
-                ]
-                local = pool.local_snapshot()
-                assert local["invalidation_replays"] == 1
-                assert local["invalidated_galleries"] == ["paper:2007:4"]
-                # Crash the slot: the respawned process must replay the
-                # history too, not just freshly spawned ones.
-                slot = spawned[0]["worker"]
-                with contextlib.suppress(Exception):
-                    pool._executors[slot].submit(os._exit, 1).result()
-                await pool.solve(all_single_queries()[:1])
-                snapshot = await pool.snapshot()
-                respawned = next(
-                    entry
-                    for entry in snapshot["per_worker"]
-                    if entry["worker"] == slot
-                )
-                assert respawned["replayed_invalidations"] == [
-                    "paper:2007:4"
-                ]
-                assert pool.local_snapshot()["invalidation_replays"] == 2
-            finally:
-                pool.shutdown()
-
-        asyncio.run(scenario())
-
     def test_shutdown_joins_all_worker_processes(self):
         async def scenario():
             pool = SolverPool(1, registry=MetricsRegistry(enabled=True))
@@ -349,7 +288,7 @@ class TestWorkerModeServer:
 
 
 # ----------------------------------------------------------------------
-# Concurrency fixes: disconnect reaping and the invalidation fence
+# Concurrency fix: disconnect reaping
 # ----------------------------------------------------------------------
 class TestDisconnectReaping:
     def test_disconnected_clients_queries_are_dropped_eagerly(self):
@@ -413,81 +352,3 @@ class TestDisconnectReaping:
         result, stats = serve(scenario, batch_window=0.2)
         assert result["periods"]
         assert stats["disconnects"] == 0
-
-
-class TestInvalidationFence:
-    def test_invalidate_during_solve_keeps_stale_result_out_of_cache(
-        self,
-    ):
-        """A solve dispatched before ``invalidate`` may finish after
-        it; its results answer their waiters but must not re-populate
-        the cache for the invalidated gallery."""
-        solving = threading.Event()
-        release = threading.Event()
-
-        async def scenario(server, host, port):
-            inner = server.pool.solve
-
-            def gated(queries, iterations):
-                solving.set()
-                assert release.wait(timeout=10)
-                return inner(queries, iterations)
-
-            server.pool.solve = gated
-            client = await ServiceClient.connect(host, port)
-            control = await ServiceClient.connect(host, port)
-            try:
-                pending = asyncio.ensure_future(
-                    client.estimate([names()[0]], gallery=GALLERY)
-                )
-                await asyncio.get_running_loop().run_in_executor(
-                    None, solving.wait
-                )
-                # The solve is in flight: invalidate the gallery, then
-                # let the stale solve finish.  The epoch bump happens
-                # synchronously on the loop before the invalidation
-                # touches the (blocked) solver thread, so wait for it
-                # rather than for the full response.
-                invalidated = asyncio.ensure_future(
-                    control.invalidate(GALLERY)
-                )
-                while not server._gallery_versions.get("paper:2007:4"):
-                    await asyncio.sleep(0.01)
-                release.set()
-                await invalidated
-                stale = await pending
-                # Same question again: a cache hit here would be the
-                # stale answer — the fence forces a fresh solve.
-                again = await client.estimate(
-                    [names()[0]], gallery=GALLERY
-                )
-            finally:
-                await client.aclose()
-                await control.aclose()
-            return stale, again, server.snapshot()
-
-        stale, again, stats = serve(scenario, batch_window=0.0)
-        assert stale["periods"] == again["periods"]
-        assert not again["cached"]
-        assert stats["cache"]["hits"] == 0
-        assert stats["solved_queries"] == 2
-
-    def test_invalidate_after_solve_does_not_fence_the_cache(self):
-        """The epoch only fences solves that were actually in flight:
-        a query after the invalidation caches normally."""
-
-        async def scenario(server, host, port):
-            client = await ServiceClient.connect(host, port)
-            try:
-                await client.invalidate(GALLERY)
-                await client.estimate([names()[0]], gallery=GALLERY)
-                result = await client.estimate(
-                    [names()[0]], gallery=GALLERY
-                )
-            finally:
-                await client.aclose()
-            return result, server.snapshot()
-
-        result, stats = serve(scenario, batch_window=0.0)
-        assert result["cached"]
-        assert stats["cache"]["hits"] == 1

@@ -5,7 +5,7 @@ The router scenarios run real fleets in-process: N TCP
 :class:`~repro.service.router.ShardRouter` front-end, spoken to through
 the ordinary :class:`~repro.service.client.ServiceClient`.  Asserted on
 the wire: estimate parity through the router (<= 1e-9 relative against
-a direct shard), gallery→shard affinity, broadcast invalidation,
+a direct shard), gallery→shard affinity,
 aggregated stats/metrics, and the failover contract — a shard killed
 mid-run loses no client query, because estimates are idempotent and the
 router retries them on the surviving shards.
@@ -224,24 +224,6 @@ class TestShardRouter:
         pong = fleet(scenario)
         assert pong["router"] is True
         assert list(pong["shards"].values()) == [True, True]
-
-    def test_invalidate_broadcasts_to_every_shard(self):
-        async def scenario(client, router, servers, addresses):
-            for name in names()[:2]:
-                await client.estimate([name], gallery=GALLERY)
-            result = await client.invalidate(GALLERY)
-            return result
-
-        result = fleet(scenario)
-        assert result["gallery"] == "paper:2007:4"
-        assert len(result["shards"]) == 2
-        # The home shard actually held warm state; both answered.
-        answered = [
-            shard
-            for shard in result["shards"].values()
-            if "skipped" not in shard
-        ]
-        assert len(answered) == 2
 
     def test_metrics_exposition_merges_router_counters(self):
         async def scenario(client, router, servers, addresses):

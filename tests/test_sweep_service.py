@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import json
-from concurrent.futures import Future
 
 import pytest
 
-import repro.runtime.service as sweep_module
+import repro.service.workers as workers_module
 
 from repro.core.estimator import ProbabilisticEstimator
 from repro.exceptions import ResourceManagerError
@@ -132,29 +131,21 @@ class TestParity:
 
     def test_jobs_capped_at_cpu_count(self, monkeypatch):
         # Regression: jobs far above the CPU count used to size the
-        # process pool at jobs, oversubscribing the machine.  The pool
-        # must never exceed os.cpu_count().
-        created = []
+        # process pool at jobs, oversubscribing the machine.  The solver
+        # pool the sweep drives must never exceed os.cpu_count(), and
+        # the outcome reports the capped count, not the request.
+        pools = []
+        original_init = workers_module.SolverPool.__init__
 
-        class RecordingExecutor:
-            def __init__(self, max_workers):
-                created.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
+        def recording_init(pool, *args, **kwargs):
+            original_init(pool, *args, **kwargs)
+            pools.append(pool)
 
         monkeypatch.setattr(
-            sweep_module, "ProcessPoolExecutor", RecordingExecutor
+            workers_module.SolverPool, "__init__", recording_init
         )
-        monkeypatch.setattr(sweep_module.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(workers_module.os, "cpu_count", lambda: 2)
         outcome = SweepService(jobs=8).sweep(GALLERY)
-        assert created == [2]
+        assert [pool.workers for pool in pools] == [2]
+        assert outcome.jobs == 2
         assert outcome.misses == 7
