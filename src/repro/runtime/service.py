@@ -11,8 +11,9 @@ both:
   :class:`~repro.service.protocol.Query` objects, solved by the serving
   stack: inline on an :class:`~repro.service.pool.EnginePool` for
   ``jobs=1``, or on a :class:`~repro.service.workers.SolverPool` of
-  ``jobs`` worker processes, which splits a large group into strided
-  chunks (interleaving use-case sizes so chunks cost about the same).
+  ``jobs`` worker processes (capped at the misses and the CPU count),
+  which splits the group into one strided chunk per process
+  (interleaving use-case sizes so chunks cost about the same).
   Each worker builds the gallery and its analysis engines once and then
   estimates its use-cases incrementally (warm-started weight-only
   solves), so the per-worker structural cost is paid once, not per
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import time as _time
 from dataclasses import dataclass
 from pathlib import Path
@@ -264,11 +266,12 @@ class SweepService:
         Optional :class:`ResultStore`; omitted means every sweep
         recomputes (hits stay 0).
     jobs:
-        Worker processes for misses.  ``1`` (default) runs inline —
-        no pool, no pickling.  More drives a
-        :class:`~repro.service.workers.SolverPool`, which caps its
-        processes at ``os.cpu_count()``; :attr:`SweepOutcome.jobs`
-        reports that capped process count (1 inline).
+        Worker processes for misses, capped at the miss count and at
+        ``os.cpu_count()``.  A cap of ``1`` runs inline — no pool, no
+        pickling.  More drives a
+        :class:`~repro.service.workers.SolverPool` with one strided
+        chunk per process; :attr:`SweepOutcome.jobs` reports the
+        processes that ran (1 inline).
     backend:
         Array backend selection forwarded to every estimator the
         service builds — in-process and in worker processes alike
@@ -413,10 +416,17 @@ class SweepService:
             Query(gallery=gallery, use_case=use_case, model=model, method=method)
             for use_case in use_cases
         ]
-        if self.jobs == 1:
+        # One process per chunk, never more than the misses or the
+        # machine: processes beyond the CPU count only time-slice each
+        # other.  ``split_threshold=1`` makes the pool split into
+        # exactly that many strided chunks, ``queries[i::processes]``.
+        processes = min(self.jobs, len(queries), os.cpu_count() or 1)
+        if processes == 1:
             pool = EnginePool(backend=self.backend)
             return pool.solve(queries, fixed_point_iterations), 1
-        workers = SolverPool(workers=self.jobs, backend=self.backend)
+        workers = SolverPool(
+            workers=processes, backend=self.backend, split_threshold=1
+        )
         try:
             payloads = asyncio.run(
                 workers.solve(queries, fixed_point_iterations)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 
 from repro.cli import main
@@ -135,7 +136,10 @@ class TestSweep:
         assert "3 hits, 0 misses" in second
         assert "Sweep service" in second
 
-    def test_jobs_flag_runs_service(self, capsys):
+    def test_jobs_flag_runs_service(self, capsys, monkeypatch):
+        # The title reports the processes that ran: min(jobs, misses,
+        # CPUs).  Pin the CPU count so the check holds on any host.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         out = run_cli(
             capsys,
             "sweep", "--suite", "2", "--samples", "2",
