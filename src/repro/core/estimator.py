@@ -32,6 +32,8 @@ parity tests assert.
 
 from __future__ import annotations
 
+import collections.abc
+import operator
 import time as _time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping as TMapping, Optional, Sequence, Tuple
@@ -82,6 +84,12 @@ class EstimationResult:
         Periods in isolation (the normalization basis of Figure 5).
     waiting_times / response_times:
         Per ``(application, actor)`` expected waiting and response times.
+        The scalar path returns plain dicts keyed processor by
+        processor.  The batched path (vectorized backend) returns lazy
+        read-only mappings keyed in use-case order, then
+        ``actor_names`` order, that build their dict on first read; they
+        compare ``==`` to that dict and pickle, copy and ``dict(...)``
+        as it.  Treat both as read-only.
     iterations_used:
         Number of Fig.-4 passes executed (1 = the paper's algorithm).
     analysis_seconds:
@@ -92,8 +100,8 @@ class EstimationResult:
     model_name: str
     periods: Dict[str, float]
     isolation_periods: Dict[str, float]
-    waiting_times: Dict[Tuple[str, str], float]
-    response_times: Dict[Tuple[str, str], float]
+    waiting_times: TMapping[Tuple[str, str], float]
+    response_times: TMapping[Tuple[str, str], float]
     iterations_used: int
     analysis_seconds: float
 
@@ -555,8 +563,18 @@ class ProbabilisticEstimator:
         app_columns = {
             name: column for column, name in enumerate(self.graphs)
         }
+        # One wait-matrix column per (application, actor), application
+        # by application in actor_names order: an application's actors
+        # are the contiguous span spans[app] of every row.
+        keys: List[Tuple[str, str]] = []
+        spans: Dict[str, Tuple[int, int]] = {}
+        for app, graph in self.graphs.items():
+            low = len(keys)
+            keys.extend((app, actor) for actor in graph.actor_names)
+            spans[app] = (low, len(keys))
+        wait_columns = {key: column for column, key in enumerate(keys)}
+        taus = [self._base_profiles[key].tau for key in keys]
         processors: List[_ProcessorBatch] = []
-        location: Dict[Tuple[str, str], Tuple[int, int]] = {}
         for processor in self.mapping.platform.processor_names:
             # The mapping may bind applications beyond this estimator's
             # set (a shared platform mapping); only our own actors can
@@ -568,8 +586,8 @@ class ProbabilisticEstimator:
                 if key[0] in self.graphs
             ]
             if len(residents) < 2:
-                # A lone resident never waits; the assembly step emits
-                # zero waiting for actors without a location entry.
+                # A lone resident never waits: its wait-matrix column
+                # stays at zero.
                 continue
             profiles = [self._base_profiles[key] for key in residents]
             count = len(residents)
@@ -586,15 +604,15 @@ class ProbabilisticEstimator:
                     ]
                 )
                 other_ok = other_ok * (1.0 - same)
-            index = len(processors)
-            for resident, key in enumerate(residents):
-                location[key] = (index, resident)
             processors.append(
                 _ProcessorBatch(
                     residents=list(residents),
                     vectors=resident_vectors(profiles, xp),
                     app_columns=xp.asarray(
                         [app_columns[app] for app in apps], dtype=int
+                    ),
+                    wait_columns=xp.asarray(
+                        [wait_columns[key] for key in residents], dtype=int
                     ),
                     other_ok=other_ok,
                     # tau*q per resident (the numerator of Definition
@@ -609,7 +627,10 @@ class ProbabilisticEstimator:
         self._batch_structure = _BatchStructure(
             app_columns=app_columns,
             processors=processors,
-            location=location,
+            keys=keys,
+            spans=spans,
+            taus=taus,
+            tau=xp.asarray(taus, dtype=float),
         )
         return self._batch_structure
 
@@ -644,7 +665,11 @@ class ProbabilisticEstimator:
         iterations: int = 1,
         tolerance: float = 1e-6,
     ) -> List[EstimationResult]:
-        """Span-wrapped entry to the array pipeline (:meth:`_run_batched`)."""
+        """Span-wrapped entry to the array pipeline (:meth:`_run_batched`).
+
+        The results' ``waiting_times``/``response_times`` are lazy
+        :class:`_RowTable` views over the batch's wait matrix.
+        """
         with self._tracer.span(
             "estimator.estimate_many",
             model=self.waiting_model.name,
@@ -670,6 +695,15 @@ class ProbabilisticEstimator:
         ``analysis_seconds`` carrying the *amortized* per-use-case cost
         of the batch.
 
+        Every waiting time lives in one ``(batch, actors)`` wait matrix
+        whose columns follow :class:`_BatchStructure` (application by
+        application, each in ``actor_names`` order).  Each processor's
+        kernel output is scattered into its residents' columns, and an
+        application's period input is the slice of its column span
+        plus ``tau``.  Each result reads its row of one ``tolist()``:
+        periods become dicts, while the per-actor tables are
+        :class:`_RowTable` views that build their dict on first read.
+
         ``iterations > 1`` runs the fixed-point refinement on the whole
         batch at once with a per-row convergence mask: each pass
         re-derives every still-active row's blocking probabilities from
@@ -679,8 +713,8 @@ class ProbabilisticEstimator:
         :meth:`AnalysisEngine.period_for` call per application (batch
         candidate certification via ``solve_many`` under the hood).
         Rows whose periods move less than ``tolerance`` relative freeze
-        — keeping the waiting/response values of their final pass, like
-        the scalar loop's early break — while the remaining rows keep
+        — keeping the wait-matrix row of their final pass, like the
+        scalar loop's early break — while the remaining rows keep
         refining, so the wall-clock cost tracks the *slowest* row, not
         the batch size.
         """
@@ -690,14 +724,19 @@ class ProbabilisticEstimator:
         self._metric_use_cases.inc(len(use_cases))
         xp = self.backend.xp  # type: ignore[union-attr]
         structure = self._batch_structure_for()
+        app_columns = structure.app_columns
         batch = len(use_cases)
-        mask = xp.zeros((batch, len(structure.app_columns)))
+        mask_rows: List[int] = []
+        mask_columns: List[int] = []
         for row, use_case in enumerate(use_cases):
-            # select() performs the same unknown-application check the
-            # scalar path relies on (and keeps its error message).
-            use_case.select(list(self.graphs.values()))
-            for app in use_case:
-                mask[row, structure.app_columns[app]] = 1.0
+            if not all(app in app_columns for app in use_case):
+                # select() raises the scalar path's unknown-application
+                # error (same type, same message).
+                use_case.select(list(self.graphs.values()))
+            mask_rows.extend([row] * len(use_case))
+            mask_columns.extend(app_columns[app] for app in use_case)
+        mask = xp.zeros((batch, len(app_columns)))
+        mask[mask_rows, mask_columns] = 1.0
 
         # Row-wise current periods, seeded with isolation (Definition
         # 3); entries of inactive applications are never refined (and
@@ -706,8 +745,8 @@ class ProbabilisticEstimator:
             [self.isolation_periods[app] for app in self.graphs],
             dtype=float,
         )[None, :]
-        waits: List[object] = [None] * len(structure.processors)
-        iterations_used = [1] * batch
+        wait = xp.zeros((batch, len(structure.keys)))
+        iterations_used = xp.ones(batch, dtype=int)
         active_rows = xp.ones(batch, dtype=bool)
 
         for pass_index in range(1, iterations + 1):
@@ -719,7 +758,7 @@ class ProbabilisticEstimator:
             self._metric_passes.inc()
             self._metric_active_rows.observe(int(rows.size))
             sub_mask = mask[rows]
-            for index, processor in enumerate(structure.processors):
+            for processor in structure.processors:
                 active = sub_mask[:, processor.app_columns]
                 inc = active[:, None, :] * processor.other_ok[None, :, :]
                 vectors = processor.vectors
@@ -746,33 +785,21 @@ class ProbabilisticEstimator:
                         f"{float(waiting[row, resident])} for "
                         f"{app}.{actor}"
                     )
-                if waits[index] is None:
-                    waits[index] = waiting
-                else:
-                    # Frozen rows keep the waiting of their final pass.
-                    waits[index][rows] = waiting
+                # Only active rows are written: frozen rows keep the
+                # waiting of their final pass.
+                wait[rows[:, None], processor.wait_columns] = waiting
 
             row_converged = xp.ones(batch, dtype=bool)
-            for app, graph in self.graphs.items():
-                column = structure.app_columns[app]
+            for app, column in app_columns.items():
                 rows_of_app = xp.nonzero(
                     active_rows & (mask[:, column] > 0)
                 )[0]
                 if int(rows_of_app.size) == 0:
                     continue
-                names = graph.actor_names
-                responses = xp.empty(
-                    (int(rows_of_app.size), len(names))
+                low, high = structure.spans[app]
+                responses = (
+                    wait[rows_of_app, low:high] + structure.tau[low:high]
                 )
-                for slot, actor in enumerate(names):
-                    tau = self._base_profiles[(app, actor)].tau
-                    where = structure.location.get((app, actor))
-                    if where is None:
-                        responses[:, slot] = tau
-                    else:
-                        responses[:, slot] = (
-                            tau + waits[where[0]][rows_of_app, where[1]]
-                        )
                 values = xp.asarray(
                     self.engines[app].period_for(
                         responses, self.backend
@@ -785,59 +812,42 @@ class ProbabilisticEstimator:
                 )
                 row_converged[rows_of_app] &= settled
                 periods[rows_of_app, column] = values
-            for row in rows.tolist():
-                iterations_used[row] = pass_index
+            iterations_used[rows] = pass_index
             if pass_index > 1:
                 # Mirror the scalar loop: the paper's first pass always
                 # completes; convergence can stop refinement only from
                 # the second pass on.
                 active_rows = active_rows & ~row_converged
 
-        # Python-land assembly works on nested lists (one C-level
-        # conversion per processor) instead of per-element numpy reads.
-        wait_lists = [w.tolist() for w in waits]
-        period_lists = periods.tolist()
-        app_columns = structure.app_columns
-        locations = structure.location
-        taus = {
-            key: profile.tau
-            for key, profile in self._base_profiles.items()
-        }
-        actor_names = {
-            app: graph.actor_names for app, graph in self.graphs.items()
-        }
+        wait_rows = wait.tolist()
+        period_rows = periods.tolist()
+        passes = iterations_used.tolist()
+        isolation = self.isolation_periods
+        model_name = self.waiting_model.name
         elapsed = _time.perf_counter() - started
-        per_use_case = elapsed / batch if batch else 0.0
+        per_use_case = elapsed / batch
         results: List[EstimationResult] = []
-        for row, use_case in enumerate(use_cases):
-            waiting_times: Dict[Tuple[str, str], float] = {}
-            response_times: Dict[Tuple[str, str], float] = {}
-            for app in use_case:
-                for actor in actor_names[app]:
-                    key = (app, actor)
-                    where = locations.get(key)
-                    t_wait = (
-                        0.0
-                        if where is None
-                        else wait_lists[where[0]][row][where[1]]
-                    )
-                    waiting_times[key] = t_wait
-                    response_times[key] = taus[key] + t_wait
+        for use_case, wait_row, period_row, used in zip(
+            use_cases, wait_rows, period_rows, passes
+        ):
             results.append(
                 EstimationResult(
                     use_case=use_case,
-                    model_name=self.waiting_model.name,
+                    model_name=model_name,
                     periods={
-                        app: period_lists[row][app_columns[app]]
+                        app: period_row[app_columns[app]]
                         for app in use_case
                     },
                     isolation_periods={
-                        app: self.isolation_periods[app]
-                        for app in use_case
+                        app: isolation[app] for app in use_case
                     },
-                    waiting_times=waiting_times,
-                    response_times=response_times,
-                    iterations_used=iterations_used[row],
+                    waiting_times=_RowTable(
+                        structure, use_case, wait_row, False
+                    ),
+                    response_times=_RowTable(
+                        structure, use_case, wait_row, True
+                    ),
+                    iterations_used=used,
                     analysis_seconds=per_use_case,
                 )
             )
@@ -851,17 +861,95 @@ class _ProcessorBatch:
     residents: List[Tuple[str, str]]
     vectors: ResidentVectors
     app_columns: object  # (n,) int array: resident -> mask column
+    wait_columns: object  # (n,) int array: resident -> wait column
     other_ok: object  # (n, n) 0/1: who may delay whom
     tauq: object = None  # (n,) array: tau * q per resident (Def. 4)
 
 
 @dataclass
 class _BatchStructure:
-    """Everything use-case independent about the batched pipeline."""
+    """Everything use-case independent about the batched pipeline.
+
+    The wait matrix has one column per ``keys`` entry: every
+    application's actors in ``actor_names`` order, application after
+    application, so ``spans[app]`` is the ``(low, high)`` column range
+    of one application.  ``tau`` (array) and ``taus`` (floats) hold
+    each column's execution time.
+    """
 
     app_columns: Dict[str, int]
     processors: List[_ProcessorBatch]
-    location: Dict[Tuple[str, str], Tuple[int, int]]
+    keys: List[Tuple[str, str]]
+    spans: Dict[str, Tuple[int, int]]
+    taus: List[float]
+    tau: object
+
+
+class _RowTable(collections.abc.Mapping):
+    """One batched row's per-actor table, built into a dict on first read.
+
+    ``waiting_times`` / ``response_times`` of a batched result.  Until
+    read it holds only the row's list from the wait matrix; the first
+    read builds the dict, keyed in use-case order, then ``actor_names``
+    order.  A response time is ``tau + wait``, the same IEEE add as the
+    scalar path's.  The table compares ``==`` to its dict, and pickles
+    and copies as it.
+    """
+
+    __slots__ = ("_source", "_table")
+
+    def __init__(
+        self,
+        structure: _BatchStructure,
+        use_case: UseCase,
+        wait_row: List[float],
+        add_tau: bool,
+    ) -> None:
+        self._source = (structure, use_case, wait_row, add_tau)
+        self._table: Optional[Dict[Tuple[str, str], float]] = None
+
+    def _dict(self) -> Dict[Tuple[str, str], float]:
+        if self._table is None:
+            structure, use_case, wait_row, add_tau = self._source
+            table: Dict[Tuple[str, str], float] = {}
+            for app in use_case:
+                low, high = structure.spans[app]
+                values = wait_row[low:high]
+                if add_tau:
+                    values = map(
+                        operator.add, structure.taus[low:high], values
+                    )
+                table.update(zip(structure.keys[low:high], values))
+            self._table = table
+            self._source = None
+        return self._table
+
+    def __getitem__(self, key: Tuple[str, str]) -> float:
+        return self._dict()[key]
+
+    def __iter__(self):
+        return iter(self._dict())
+
+    def __len__(self) -> int:
+        return len(self._dict())
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._dict()
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _RowTable):
+            other = other._dict()
+        return self._dict() == other
+
+    def __repr__(self) -> str:
+        return repr(self._dict())
+
+    def __getstate__(self) -> Dict[Tuple[str, str], float]:
+        return self._dict()
+
+    def __setstate__(self, table: Dict[Tuple[str, str], float]) -> None:
+        self._source = None
+        self._table = table
 
 
 def _same_analysis_graph(first: SDFGraph, second: SDFGraph) -> bool:

@@ -19,26 +19,47 @@ Public surface:
 * the :mod:`~repro.service.protocol` message helpers.
 """
 
-from repro.service.cache import CacheKey, ResultCache
-from repro.service.client import ServiceClient, estimate_once
-from repro.service.hashring import HashRing, stable_hash
-from repro.service.pool import EnginePool
-from repro.service.protocol import (
-    PROTOCOL_VERSION,
-    Query,
-    decode_message,
-    encode_message,
-    parse_estimate,
-    parse_estimate_batch,
-    parse_gallery,
-)
-from repro.service.router import ShardRouter, parse_shard_address
-from repro.service.server import (
-    DEFAULT_DEGRADED_MODEL,
-    EstimationServer,
-    ServerStats,
-)
-from repro.service.workers import SolverPool
+import importlib
+
+# Public name -> defining submodule.  Names resolve on first access
+# (PEP 562), so importing one submodule (``workers``, ``pool``, ...)
+# does not load the server, router and client stacks with it.
+_EXPORTS = {
+    "CacheKey": "cache",
+    "ResultCache": "cache",
+    "ServiceClient": "client",
+    "estimate_once": "client",
+    "HashRing": "hashring",
+    "stable_hash": "hashring",
+    "EnginePool": "pool",
+    "PROTOCOL_VERSION": "protocol",
+    "Query": "protocol",
+    "decode_message": "protocol",
+    "encode_message": "protocol",
+    "parse_estimate": "protocol",
+    "parse_estimate_batch": "protocol",
+    "parse_gallery": "protocol",
+    "ShardRouter": "router",
+    "parse_shard_address": "router",
+    "DEFAULT_DEGRADED_MODEL": "server",
+    "EstimationServer": "server",
+    "ServerStats": "server",
+    "SolverPool": "workers",
+}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __all__ = [
     "CacheKey",

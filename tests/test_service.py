@@ -698,6 +698,46 @@ class TestServeCLI:
         assert by_id[3]["result"] == {"stopping": True}
 
 
+class TestLazyExports:
+    def test_solver_modules_do_not_load_the_serving_stack(self):
+        """A sweep's ``pool``/``protocol``/``workers`` imports leave the
+        server, router and client unloaded; the package names still
+        resolve on first access."""
+        code = "\n".join(
+            [
+                "import sys",
+                "import repro.service.pool, repro.service.protocol",
+                "import repro.service.workers",
+                "for name in ('server', 'router', 'client'):",
+                "    assert f'repro.service.{name}' not in sys.modules, name",
+                "from repro.service import EstimationServer",
+                "from repro.service.server import EstimationServer as direct",
+                "assert EstimationServer is direct",
+                "import repro.service as service",
+                "missing = [n for n in service.__all__ if not hasattr(service, n)]",
+                "assert not missing, missing",
+                "assert set(service.__all__) <= set(dir(service))",
+            ]
+        )
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        completed = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            env=env,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+
+    def test_unknown_name_raises_attribute_error(self):
+        import repro.service as service
+
+        with pytest.raises(AttributeError, match="no attribute 'Nope'"):
+            service.Nope
+
+
 # ----------------------------------------------------------------------
 # Load generator
 # ----------------------------------------------------------------------
