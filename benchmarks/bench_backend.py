@@ -271,6 +271,95 @@ def test_batch_certification_dominates(benchmark):
     benchmark.extra_info["scalar_fallbacks"] = fallbacks
 
 
+#: Batch sizes of the certification size curve; 512 is the row count of
+#: one application's period batch in a 10-application exhaustive sweep.
+CERTIFY_ROWS = (1, 16, 128, 512)
+
+
+def test_certification_size_curve(benchmark):
+    """Microseconds per Bellman-Ford certification call by batch size.
+
+    No bar: a size curve of ``IncrementalMCRSolver._certify_batch`` on
+    the seed-2007 ten-application gallery, for spotting where per-call
+    overhead gives way to per-row work.  Each application's engine is
+    warmed by an exhaustive ``second_order`` sweep; the curve then
+    certifies that sweep's own weight rows (first ``n`` of them, tiled
+    when the application has fewer) against the candidates of the
+    remembered cycles, best of three timed loops per size.
+    """
+    import numpy as np
+
+    from repro.platform.usecase import all_use_cases
+
+    suite = paper_benchmark_suite(seed=2007, application_count=10)
+    estimator = ProbabilisticEstimator(
+        list(suite.graphs),
+        mapping=suite.mapping,
+        waiting_model="second_order",
+        backend="numpy",
+    )
+    results = estimator.estimate_many(all_use_cases(suite.application_names))
+    problems = []
+    for graph in suite.graphs:
+        engine = estimator.engines[graph.name]
+        times = np.array(
+            [
+                [result.response_times[(graph.name, a)] for a in graph.actor_names]
+                for result in results
+                if graph.name in result.use_case
+            ]
+        )
+        weights = times[:, list(engine._edge_actor_indices)]
+        matrix, transits = engine._solver._cycle_matrix(np)
+        candidates = np.max((weights @ matrix.T) / transits, axis=1)
+        problems.append((engine._solver, weights, candidates))
+    loops = 3 if SMOKE else 20
+
+    def run():
+        curve = {}
+        for rows in CERTIFY_ROWS:
+            total = 0.0
+            certified = 0
+            for solver, weights, candidates in problems:
+                take = np.resize(np.arange(len(weights)), rows)
+                batch, batch_candidates = weights[take], candidates[take]
+                best = float("inf")
+                for _ in range(3):
+                    started = time.perf_counter()
+                    for _ in range(loops):
+                        mask = solver._certify_batch(
+                            batch, batch_candidates, np
+                        )
+                    best = min(best, (time.perf_counter() - started) / loops)
+                total += best
+                certified += int(mask.sum())
+            curve[rows] = (total / len(problems) * 1e6, certified)
+        return curve
+
+    curve = benchmark.pedantic(run, rounds=1, iterations=1)
+    for rows, (micros, _) in curve.items():
+        benchmark.extra_info[f"us_per_call_{rows}"] = round(micros, 1)
+    report(
+        "certification_size_curve",
+        render_table(
+            ["rows", "us per call", "us per row", "certified rows"],
+            [
+                [
+                    rows,
+                    f"{micros:.1f}",
+                    f"{micros / rows:.2f}",
+                    f"{certified}/{rows * len(problems)}",
+                ]
+                for rows, (micros, certified) in curve.items()
+            ],
+            title=(
+                "Batched MCR certification - seed-2007 10-app gallery "
+                "(mean over applications)"
+            ),
+        ),
+    )
+
+
 #: Batched fixed-point workload: the refinement loop multiplies the
 #: scalar cost by the pass count, while the batched mask pays only for
 #: still-moving rows — the win grows with the batch, so the bench uses

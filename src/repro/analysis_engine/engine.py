@@ -37,8 +37,9 @@ floats come out equal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.backend import ArrayBackend, get_backend
 from repro.exceptions import AnalysisError, GraphError
@@ -264,6 +265,14 @@ class AnalysisEngine:
         back to per-row :meth:`period` calls, preserving the scalar
         arithmetic exactly.
 
+        The batched branch walks the rows once: scalar memo, then batch
+        memo, then first-seen dedup of the misses, so repeated vectors
+        cost one solve.  The solver's input is the misses' rows of the
+        input array itself, in first-seen order.  Every time must be
+        positive and finite; the first bad miss raises
+        :class:`~repro.exceptions.GraphError` before anything is solved
+        or memoized.
+
         Batch results are memoized separately from scalar ones: a
         certified candidate may differ from the scalar solve in the
         last bits (well inside the 1e-9 parity contract), and the
@@ -273,26 +282,24 @@ class AnalysisEngine:
         but only ever *write* their own.
         """
         resolved = get_backend(backend)
+        width = len(self._actor_names)
+        matrix = None
         if resolved.vectorized:
+            xp = resolved.xp  # type: ignore[union-attr]
             try:
-                rows = resolved.xp.asarray(  # type: ignore[union-attr]
-                    time_vectors, dtype=float
-                ).tolist()
+                matrix = xp.asarray(time_vectors, dtype=float)
+                rows = matrix.tolist()
             except ValueError:  # ragged input: report lengths below
-                rows = [
-                    [float(value) for value in row]
-                    for row in time_vectors
-                ]
-        else:
+                pass
+        if matrix is None:
             rows = [
                 [float(value) for value in row] for row in time_vectors
             ]
         keys = [tuple(row) for row in rows]
         for key in keys:
-            if len(key) != len(self._actor_names):
+            if len(key) != width:
                 raise AnalysisError(
-                    f"expected {len(self._actor_names)} times per "
-                    f"vector, got {len(key)}"
+                    f"expected {width} times per vector, got {len(key)}"
                 )
         use_batch = (
             resolved.vectorized
@@ -300,24 +307,32 @@ class AnalysisEngine:
             and self.mcr_algorithm == "howard"
         )
         if use_batch:
-            # Deduplicate misses (against both memos) while keeping
-            # first-seen order: sweeps routinely repeat vectors (same
-            # contender set in several use-cases) and one solve should
-            # serve all repeats.
-            seen: Dict[Tuple[float, ...], None] = {}
-            for key in keys:
-                if (
-                    key not in self._cache
-                    and key not in self._batch_cache
-                    and key not in seen
-                ):
-                    seen[key] = None
-            misses = list(seen)
-            resolved_values: Dict[Tuple[float, ...], float] = {}
+            # One pass over the keys: scalar memo, then batch memo, then
+            # first-seen dedup of the misses.  Sweeps routinely repeat
+            # vectors (same contender set in several use-cases) and one
+            # solve serves every repeat.
+            cache = self._cache
+            batch_cache = self._batch_cache
+            periods: List[Optional[float]] = []
+            misses: Dict[Tuple[float, ...], int] = {}
+            first_rows: List[int] = []
+            waiting: List[Tuple[int, int]] = []
+            for position, key in enumerate(keys):
+                value = cache.get(key)
+                if value is None:
+                    value = batch_cache.get(key)
+                if value is None:
+                    index = misses.get(key)
+                    if index is None:
+                        index = misses[key] = len(first_rows)
+                        first_rows.append(position)
+                    waiting.append((position, index))
+                periods.append(value)
             if misses:
-                xp = resolved.xp  # type: ignore[union-attr]
-                times = xp.asarray(misses, dtype=float)
-                if bool(xp.any(times <= 0)):
+                # ``asarray`` only fails on ragged rows, which the length
+                # check rejected, so ``matrix`` holds the whole input.
+                times = matrix[first_rows]
+                if not bool(xp.all((times > 0) & (times < xp.inf))):
                     for key in misses:
                         self._validate_key(key)
                 weights = times[:, list(self._edge_actor_indices)]
@@ -341,27 +356,16 @@ class AnalysisEngine:
                 self._metric_solves.inc(len(misses))
                 self.stats.cache_misses += len(misses)
                 self._metric_cache_misses.inc(len(misses))
-                for key, ratio in zip(misses, ratios):
-                    if (
-                        len(self._batch_cache)
-                        < self._max_cache_entries
-                    ):
-                        self._batch_cache[key] = ratio
-                resolved_values = dict(zip(misses, ratios))
+                room = self._max_cache_entries - len(batch_cache)
+                for key, ratio in zip(misses, ratios[: max(room, 0)]):
+                    batch_cache[key] = ratio
+                for position, index in waiting:
+                    periods[position] = ratios[index]
             hit_rows = len(keys) - len(misses)
             self.stats.cache_hits += hit_rows
             if hit_rows:
                 self._metric_cache_hits.inc(hit_rows)
-
-            def lookup(key: Tuple[float, ...]) -> float:
-                value = self._cache.get(key)
-                if value is None:
-                    value = self._batch_cache.get(key)
-                if value is None:
-                    value = resolved_values[key]
-                return value
-
-            return [lookup(key) for key in keys]
+            return periods
         # Non-vectorized (or non-warm-startable) configurations run the
         # plain scalar path, scalar memo only — the batch memo is never
         # consulted, so a python-backend run stays byte-pure even on an
@@ -396,7 +400,8 @@ class AnalysisEngine:
     ) -> None:
         """Same contract the cold path enforced through
         ``Actor.__post_init__`` when it rebuilt the graph; the MCR
-        solver itself would silently accept non-positive weights."""
+        solver itself would silently accept non-positive, NaN or
+        infinite weights (and the memo would keep the answer)."""
         if key is None:
             return
         for name, value in zip(self._actor_names, key):
@@ -404,6 +409,11 @@ class AnalysisEngine:
                 raise GraphError(
                     f"actor {name!r}: execution time must be "
                     f"positive, got {value!r}"
+                )
+            if not value < math.inf:
+                raise GraphError(
+                    f"actor {name!r}: execution time must be "
+                    f"finite, got {value!r}"
                 )
 
     def _solve(

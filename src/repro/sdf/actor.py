@@ -8,6 +8,7 @@ times; the deterministic case simply stores an integer/float constant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.exceptions import GraphError
@@ -23,10 +24,10 @@ class Actor:
         Identifier, unique within its graph (e.g. ``"a0"``).
     execution_time:
         Time needed to complete one firing on the node the actor is
-        mapped to (``tau(a)``, Definition 1).  Must be positive; zero is
-        rejected because the probabilistic model divides by periods that
-        would degenerate, and the DES engine would livelock on zero-length
-        firings.
+        mapped to (``tau(a)``, Definition 1).  Must be positive and
+        finite (NaN and infinity are rejected); zero is rejected because
+        the probabilistic model divides by periods that would degenerate,
+        and the DES engine would livelock on zero-length firings.
     processor_type:
         Free-form label used by heterogeneous platforms to restrict which
         processors can host the actor (``"risc"``, ``"dsp"``, ``"ip"`` ...).
@@ -43,6 +44,11 @@ class Actor:
         if self.execution_time <= 0:
             raise GraphError(
                 f"actor {self.name!r}: execution time must be positive, "
+                f"got {self.execution_time!r}"
+            )
+        if not self.execution_time < math.inf:
+            raise GraphError(
+                f"actor {self.name!r}: execution time must be finite, "
                 f"got {self.execution_time!r}"
             )
 

@@ -57,7 +57,11 @@ cycle barely changes; the solver therefore
 3. *certifies* each candidate with a batched max-plus Bellman–Ford pass
    over the cyclic part of the graph: if relaxation under
    ``w - candidate * transit`` admits no positive cycle, no cycle beats
-   the candidate and it *is* the maximum cycle ratio.
+   the candidate and it *is* the maximum cycle ratio.  The pass holds
+   its state vertex-major — one C-contiguous row per edge or vertex,
+   one column per weight vector — with the edges grouped into
+   in-degree layers, so a sweep is one row gather, one add and one
+   slice-wise ``maximum`` per layer, whatever the batch size.
 
 Vectors whose certification fails fall back to an ordinary warm-started
 scalar solve, which also registers the newly critical cycle — so a
@@ -362,43 +366,45 @@ class IncrementalMCRSolver:
     def _bf_structure(self, xp) -> Tuple[object, ...]:
         """Arrays describing the cyclic subgraph for batched relaxation.
 
-        Returns ``(gids, sources, gather, transits, vertex_count)``:
-        ``gather`` is a ``(vertex_count, max_in_degree)`` matrix of edge
-        positions (into the ``gids`` order) padded with a sentinel
-        position holding ``-inf``, so one fancy-indexed ``max`` computes
-        every vertex's best incoming relaxation at once.
+        Returns ``(gids, sources, layers, transits, vertex_count)`` with
+        the cyclic vertices numbered by in-degree, highest first, and
+        the inner edges grouped into *layers*: layer ``k`` holds the
+        ``k``-th incoming edge of every vertex with more than ``k`` of
+        them, in vertex order.  Each ``(start, size)`` in ``layers``
+        therefore pairs the edge block ``[start, start + size)`` with
+        the vertex prefix ``[0, size)``, so one relaxation folds a layer
+        into the distances with a single slice-wise ``maximum``.  Every
+        vertex of a cyclic component has an incoming inner edge, so
+        layer 0 spans all of them.
         """
         if self._bf_cache is None:
-            inner: List[int] = []
+            incoming: Dict[int, List[int]] = {}
             for _, inner_ids in self._components:
-                inner.extend(inner_ids)
-            vertices = sorted(
-                {self.edges[g].source for g in inner}
-                | {self.edges[g].target for g in inner}
-            )
-            local = {v: i for i, v in enumerate(vertices)}
-            incoming: List[List[int]] = [[] for _ in vertices]
-            for position, gid in enumerate(inner):
-                incoming[local[self.edges[gid].target]].append(position)
-            sentinel = len(inner)
-            width = max(len(rows) for rows in incoming)
-            gather = xp.full(
-                (len(vertices), width), sentinel, dtype=int
-            )
-            for row, positions in enumerate(incoming):
-                for slot, position in enumerate(positions):
-                    gather[row, slot] = position
+                for gid in inner_ids:
+                    incoming.setdefault(self.edges[gid].target, []).append(
+                        gid
+                    )
+            order = sorted(incoming, key=lambda v: (-len(incoming[v]), v))
+            local = {v: i for i, v in enumerate(order)}
+            gids: List[int] = []
+            layers: List[Tuple[int, int]] = []
+            while True:
+                k = len(layers)
+                layer = [incoming[v][k] for v in order if len(incoming[v]) > k]
+                if not layer:
+                    break
+                layers.append((len(gids), len(layer)))
+                gids.extend(layer)
             self._bf_cache = (
-                xp.asarray(inner, dtype=int),
+                xp.asarray(gids, dtype=int),
                 xp.asarray(
-                    [local[self.edges[g].source] for g in inner],
-                    dtype=int,
+                    [local[self.edges[g].source] for g in gids], dtype=int
                 ),
-                gather,
+                tuple(layers),
                 xp.asarray(
-                    [self.edges[g].transit for g in inner], dtype=float
+                    [self.edges[g].transit for g in gids], dtype=float
                 ),
-                len(vertices),
+                len(order),
             )
         return self._bf_cache
 
@@ -417,32 +423,44 @@ class IncrementalMCRSolver:
         meaningfully exceeds the candidate cannot stall.  Rows that
         still improve are left uncertified and re-solved exactly by the
         caller.
+
+        The state is vertex-major: reduced weights and relaxed edge
+        values are C-contiguous ``(edges, rows)`` arrays and distances
+        ``(vertices, rows)``, so the source gather copies whole rows and
+        each in-degree layer (see :meth:`_bf_structure`) folds into a
+        contiguous prefix of the distances.  Every sweep is Jacobi: all
+        edge values come from the previous sweep's distances.  ``max``
+        is exact, so the mask does not depend on the layout.
         """
-        gids, sources, gather, transits, count = self._bf_structure(xp)
-        reduced = weights[:, gids] - candidates[:, None] * transits
-        rows = reduced.shape[0]
-        edge_count = reduced.shape[1]
-        distance = xp.zeros((rows, count))
-        padded = xp.full((rows, edge_count + 1), -xp.inf)
+        gids, sources, layers, transits, count = self._bf_structure(xp)
+        reduced = weights.T[gids] - transits[:, None] * candidates
+        distance = xp.zeros((count, reduced.shape[1]))
+        offers = xp.empty_like(reduced)
+        add = xp.add
+        maximum = xp.maximum
+
+        def relax(folds) -> None:
+            add(distance[sources], reduced, out=offers)
+            for best, offer in folds:
+                maximum(best, offer, out=best)
+
+        def folds_into(target):
+            return [
+                (target[:size], offers[start:start + size])
+                for start, size in layers
+            ]
+
         # Distances legitimately grow for up to ``V`` sweeps (longest
         # simple path), so a per-sweep stall check rarely fires and its
         # reduction + bool sync would dominate these small arrays; run
         # the warm-up sweeps unconditionally and test improvement once.
-        maximum = xp.maximum
-        amax = xp.max
+        in_place = folds_into(distance)
         for _ in range(count):
-            padded[:, :edge_count] = distance[:, sources] + reduced
-            distance = maximum(
-                distance, amax(padded[:, gather], axis=2)
-            )
-        tolerance = 1e-12 * maximum(
-            1.0, amax(xp.abs(reduced), axis=1)
-        )
-        padded[:, :edge_count] = distance[:, sources] + reduced
-        relaxed = maximum(distance, amax(padded[:, gather], axis=2))
-        return ~xp.any(
-            relaxed > distance + tolerance[:, None], axis=1
-        )
+            relax(in_place)
+        tolerance = 1e-12 * maximum(1.0, xp.max(xp.abs(reduced), axis=0))
+        relaxed = distance.copy()
+        relax(folds_into(relaxed))
+        return ~xp.any(relaxed > distance + tolerance, axis=0)
 
     def solve_many(self, weights_matrix, xp=None) -> List[float]:
         """Maximum cycle ratios for a whole batch of weight vectors.
@@ -468,19 +486,17 @@ class IncrementalMCRSolver:
                 f"expected a (batch, {len(self.edges)}) weight matrix, "
                 f"got shape {tuple(weights.shape)!r}"
             )
-        batch = weights.shape[0]
-        ratios: List[float] = [0.0] * batch
+        ratios = xp.empty(weights.shape[0])
 
         def solve_scalar(row: int) -> None:
-            ratios[row] = float(
-                self.solve([float(w) for w in weights[row]]).ratio
-            )
+            ratios[row] = self.solve(weights[row].tolist()).ratio
             self.batch_fallbacks += 1
 
-        pending = list(range(batch))
-        if not self._cycles and pending:
+        pending = xp.arange(weights.shape[0])
+        if not self._cycles and pending.size:
             # Seed the candidate set with one scalar solve.
-            solve_scalar(pending.pop(0))
+            solve_scalar(0)
+            pending = pending[1:]
         # Alternate certification rounds with exact straggler solves:
         # each round certifies every pending row whose optimum is
         # already a remembered cycle, then a few stragglers are solved
@@ -493,20 +509,17 @@ class IncrementalMCRSolver:
         # plain scalar cost plus only O(log batch) certification
         # passes instead of one per row.
         stragglers_per_round = 1
-        while pending:
+        while pending.size:
             matrix, transits = self._cycle_matrix(xp)
             rows = weights[pending]
             candidates = xp.max(
                 (rows @ matrix.T) / transits[None, :], axis=1
             )
             certified = self._certify_batch(rows, candidates, xp)
-            survivors: List[int] = []
-            for position, row in enumerate(pending):
-                if bool(certified[position]):
-                    ratios[row] = float(candidates[position])
-                    self.batch_accepted += 1
-                else:
-                    survivors.append(row)
+            accepted = xp.flatnonzero(certified)
+            ratios[pending[accepted]] = candidates[accepted]
+            self.batch_accepted += len(accepted)
+            survivors = pending[~certified].tolist()
             if not survivors:
                 break
             cycles_before = len(self._cycles)
@@ -520,8 +533,8 @@ class IncrementalMCRSolver:
                 for row in survivors:
                     solve_scalar(row)
                 break
-            pending = survivors
-        return ratios
+            pending = xp.asarray(survivors, dtype=int)
+        return ratios.tolist()
 
 
 # ----------------------------------------------------------------------

@@ -175,6 +175,53 @@ class TestEngineBehaviour:
         with pytest.raises(GraphError):
             AnalysisEngine(graph).critical_cycle({first_actor: -5.0})
 
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_non_finite_response_times_rejected(self, gallery, bad):
+        """NaN and infinite times raise GraphError on every path and
+        never reach a memo, so a later good query still solves."""
+        from repro.backend import numpy_available
+        from repro.exceptions import GraphError
+
+        graphs, _, _ = gallery
+        graph = graphs[0]
+        first_actor = graph.actor_names[0]
+        base = [graph.execution_time(name) for name in graph.actor_names]
+        bad_row = [bad] + base[1:]
+        message = "positive" if bad < 0 else "finite"
+        backends = ["python"] + (["numpy"] if numpy_available() else [])
+        for method in (AnalysisMethod.MCR, AnalysisMethod.STATE_SPACE):
+            engine = AnalysisEngine(graph, method=method)
+            with pytest.raises(GraphError, match=message):
+                engine.period({first_actor: bad})
+            for backend in backends:
+                with pytest.raises(GraphError, match=message):
+                    engine.period_for([bad_row, base], backend)
+            assert engine.stats.solves == 0
+            assert engine.period_for([base], backends[-1]) == [
+                engine.period()
+            ]
+        with pytest.raises(GraphError, match=message):
+            AnalysisEngine(graph).critical_cycle({first_actor: bad})
+
+    def test_first_bad_row_is_reported(self, gallery):
+        """With several bad rows the batch names the first one."""
+        from repro.backend import numpy_available
+        from repro.exceptions import GraphError
+
+        graphs, _, _ = gallery
+        graph = graphs[0]
+        base = [graph.execution_time(name) for name in graph.actor_names]
+        rows = [base, [base[0], float("nan")] + base[2:], [-1.0] + base[1:]]
+        backends = ["python"] + (["numpy"] if numpy_available() else [])
+        for backend in backends:
+            engine = AnalysisEngine(graph)
+            with pytest.raises(GraphError) as error:
+                engine.period_for(rows, backend)
+            assert f"{graph.actor_names[1]!r}" in str(error.value)
+            assert "finite, got nan" in str(error.value)
+
     def test_warm_policy_is_kept_between_solves(self, gallery):
         graphs, _, _ = gallery
         engine = AnalysisEngine(graphs[0])

@@ -26,6 +26,15 @@ class TestActor:
         with pytest.raises(GraphError):
             Actor("a0", -5)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_execution_time(self, bad):
+        with pytest.raises(GraphError, match="must be finite"):
+            Actor("a0", bad)
+
+    def test_rejects_negative_infinity_as_non_positive(self):
+        with pytest.raises(GraphError, match="must be positive"):
+            Actor("a0", float("-inf"))
+
     def test_rejects_empty_name(self):
         with pytest.raises(GraphError):
             Actor("", 10)

@@ -6,6 +6,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import AnalysisError, DeadlockError
 from repro.generation.random_sdf import GeneratorConfig, random_sdf_graph
@@ -324,3 +326,167 @@ class TestIncrementalSolver:
         solver = IncrementalMCRSolver(2, [RatioEdge(0, 1, 5.0, 1)])
         with pytest.raises(AnalysisError):
             solver.solve()
+
+
+# ----------------------------------------------------------------------
+# Batched certification against the row-major reference kernel
+# ----------------------------------------------------------------------
+def _row_major_certify(solver, weights, candidates, xp):
+    """Reference: the row-major Bellman-Ford certification kernel.
+
+    A verbatim copy of the kernel ``IncrementalMCRSolver`` shipped
+    before its state was held vertex-major (``(rows, edges + 1)``
+    buffers, one strided gather per sweep), structure set-up included.
+    The shipped kernel must return the identical mask.
+    """
+    inner = []
+    for _, inner_ids in solver._components:
+        inner.extend(inner_ids)
+    vertices = sorted(
+        {solver.edges[g].source for g in inner}
+        | {solver.edges[g].target for g in inner}
+    )
+    local = {v: i for i, v in enumerate(vertices)}
+    incoming = [[] for _ in vertices]
+    for position, gid in enumerate(inner):
+        incoming[local[solver.edges[gid].target]].append(position)
+    sentinel = len(inner)
+    width = max(len(rows) for rows in incoming)
+    gather = xp.full((len(vertices), width), sentinel, dtype=int)
+    for row, positions in enumerate(incoming):
+        for slot, position in enumerate(positions):
+            gather[row, slot] = position
+    gids = xp.asarray(inner, dtype=int)
+    sources = xp.asarray(
+        [local[solver.edges[g].source] for g in inner], dtype=int
+    )
+    transits = xp.asarray(
+        [solver.edges[g].transit for g in inner], dtype=float
+    )
+    count = len(vertices)
+
+    reduced = weights[:, gids] - candidates[:, None] * transits
+    rows = reduced.shape[0]
+    edge_count = reduced.shape[1]
+    distance = xp.zeros((rows, count))
+    padded = xp.full((rows, edge_count + 1), -xp.inf)
+    maximum = xp.maximum
+    amax = xp.max
+    for _ in range(count):
+        padded[:, :edge_count] = distance[:, sources] + reduced
+        distance = maximum(distance, amax(padded[:, gather], axis=2))
+    tolerance = 1e-12 * maximum(1.0, amax(xp.abs(reduced), axis=1))
+    padded[:, :edge_count] = distance[:, sources] + reduced
+    relaxed = maximum(distance, amax(padded[:, gather], axis=2))
+    return ~xp.any(relaxed > distance + tolerance[:, None], axis=1)
+
+
+@st.composite
+def _certification_problems(draw):
+    """A RatioEdge graph of several SCCs (self-loops, parallel edges,
+    chords, forward cross edges, an acyclic vertex) and its batch.
+
+    Ring edges inside an SCC carry delay 0 except the closing one and
+    every other edge inside an SCC carries delay >= 1, so no zero-delay
+    cycle exists; cross edges only run from earlier SCCs to later ones,
+    so the SCCs stay apart.
+    """
+    edges = []
+    groups = []
+    for size in draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)):
+        start = sum(len(g) for g in groups)
+        members = list(range(start, start + size))
+        groups.append(members)
+        if size == 1:
+            edges.append(
+                RatioEdge(members[0], members[0], 1.0, draw(st.integers(1, 2)))
+            )
+        for i in range(size if size > 1 else 0):
+            closing = i == size - 1
+            edges.append(
+                RatioEdge(
+                    members[i],
+                    members[(i + 1) % size],
+                    1.0,
+                    1 if closing else draw(st.integers(0, 1)),
+                )
+            )
+        for _ in range(draw(st.integers(0, size))):
+            edges.append(
+                RatioEdge(
+                    draw(st.sampled_from(members)),
+                    draw(st.sampled_from(members)),
+                    1.0,
+                    draw(st.integers(1, 3)),
+                )
+            )
+    vertex_count = sum(len(g) for g in groups)
+    for _ in range(draw(st.integers(0, 3))):
+        # Parallel edge: same endpoints as an existing one, delay >= 1.
+        twin = draw(st.sampled_from(edges))
+        if any(twin.source in g and twin.target in g for g in groups):
+            edges.append(
+                RatioEdge(twin.source, twin.target, 1.0, twin.transit + 1)
+            )
+    for _ in range(draw(st.integers(0, 3)) if len(groups) > 1 else 0):
+        low = draw(st.integers(0, len(groups) - 2))
+        high = draw(st.integers(low + 1, len(groups) - 1))
+        edges.append(
+            RatioEdge(
+                draw(st.sampled_from(groups[low])),
+                draw(st.sampled_from(groups[high])),
+                1.0,
+                draw(st.integers(0, 2)),
+            )
+        )
+    if draw(st.booleans()):
+        # A vertex on no cycle, feeding the first SCC.
+        edges.append(RatioEdge(vertex_count, 0, 1.0, 0))
+        vertex_count += 1
+    batch = draw(st.integers(1, 64))
+    seed = draw(st.integers(0, 2**32 - 1))
+    integral = draw(st.booleans())
+    return vertex_count, edges, batch, seed, integral
+
+
+class TestVertexMajorCertification:
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(problem=_certification_problems())
+    def test_mask_matches_row_major_reference(self, problem):
+        np = pytest.importorskip("numpy")
+        vertex_count, edges, batch, seed, integral = problem
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(1.0, 100.0, (batch, len(edges)))
+        if integral:
+            # Integer weights tie cycles exactly.
+            weights = np.round(weights)
+        solver = IncrementalMCRSolver(vertex_count, edges)
+        exact = np.array([solver.solve(list(row)).ratio for row in weights])
+        # At the true MCR, one ulp either side, 0.1% either side, and
+        # 1e-13..1e-11 below it, where the 1e-12 tolerance decides.
+        kinds = rng.integers(0, 8, batch)
+        candidates = np.select(
+            [kinds == k for k in range(7)],
+            [
+                exact,
+                np.nextafter(exact, np.inf),
+                np.nextafter(exact, -np.inf),
+                exact * (1 + 1e-3),
+                exact * (1 - 1e-3),
+                exact * (1 - 1e-13),
+                exact * (1 - 1e-12),
+            ],
+            exact * (1 - 1e-11),
+        )
+        mask = solver._certify_batch(weights, candidates, np)
+        reference = _row_major_certify(solver, weights, candidates, np)
+        assert mask.dtype == bool and mask.shape == (batch,)
+        assert mask.tolist() == reference.tolist()
+        # Soundness both ways: comfortably above the optimum certifies,
+        # comfortably below never does.
+        assert mask[kinds == 3].all()
+        assert not mask[kinds == 4].any()
