@@ -359,11 +359,13 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--batch-window",
         type=float,
-        default=2.0,
+        default=0.0,
         metavar="MS",
         help=(
             "milliseconds the batcher lingers after the first arrival "
-            "so concurrent queries coalesce (0 = drain immediately)"
+            "so queries spread over the window coalesce (default 0: "
+            "drain as soon as the solver is idle; arrivals during a "
+            "solve still batch together)"
         ),
     )
     serve.add_argument("--max-batch", type=int, default=128, metavar="N")

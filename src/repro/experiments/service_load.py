@@ -95,7 +95,7 @@ class LoadConfig:
     gallery: GallerySpec = field(default_factory=GallerySpec)
     model: str = "second_order"
     method: str = "mcr"
-    batch_window: float = 0.002
+    batch_window: float = 0.0
     max_batch: int = 128
     max_pending: int = 1024
     shed_policy: str = "reject"
@@ -664,7 +664,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--applications", type=int, default=6)
     parser.add_argument("--model", default="second_order")
-    parser.add_argument("--batch-window", type=float, default=2.0, metavar="MS")
+    parser.add_argument(
+        "--batch-window",
+        type=float,
+        default=0.0,
+        metavar="MS",
+        help=(
+            "milliseconds each shard's batcher lingers after the first "
+            "arrival (0 = drain as soon as the solver is idle)"
+        ),
+    )
     parser.add_argument("--cache-size", type=int, default=4096)
     parser.add_argument(
         "--shed-policy",

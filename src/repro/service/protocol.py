@@ -100,6 +100,11 @@ MAX_BATCH_USE_CASES = 1024
 #: to inflate them arbitrarily.
 MAX_TRACE_ID_LENGTH = 128
 
+#: The per-question error a draining server answers while it closes.
+#: It says nothing about the question, so a router treats it like a
+#: dead transport and asks the next shard instead of passing it on.
+SHUTTING_DOWN = "server is shutting down"
+
 
 def encode_message(payload: Dict[str, object]) -> bytes:
     """One protocol message: compact JSON plus the line terminator."""

@@ -22,7 +22,8 @@ and one engine pool.  The fleet layer runs N server processes
   refused/reset/EOF) or stops answering leaves the ring, its
   galleries re-home to the surviving shards, and the estimate that
   observed the death is **retried** there — estimates are idempotent
-  queries, so failover is invisible to clients beyond latency.
+  queries, so failover is invisible to clients beyond latency.  A
+  draining shard (closing, refusing new questions) counts as dead too.
   Failover candidates are recomputed from the live ring *per attempt*
   (a preference list captured before a concurrent ``_mark_down`` would
   waste retries on shards the router already knows are dead).  A
@@ -76,6 +77,7 @@ from repro.service.client import ServiceClient
 from repro.service.hashring import HashRing
 from repro.service.protocol import (
     PROTOCOL_VERSION,
+    SHUTTING_DOWN,
     JsonLinesEndpoint,
     Query,
     parse_estimate,
@@ -433,9 +435,10 @@ class ShardRouter(JsonLinesEndpoint):
         """Run ``attempt`` against healthy shards in preference order.
 
         At most ``max_retries + 1`` attempts; transport-level failures
-        mark the shard down and move on (estimates and placements are
-        idempotent, re-asking is safe).  Candidates are recomputed per
-        attempt — see :meth:`_next_candidate`.
+        (a draining shard's refusal among them) mark the shard down and
+        move on (estimates and placements are idempotent, re-asking is
+        safe).  Candidates are recomputed per attempt — see
+        :meth:`_next_candidate`.
         """
         tried: "set[str]" = set()
         attempts = 0
@@ -715,13 +718,26 @@ class ShardRouter(JsonLinesEndpoint):
                 attempt=attempts,
             ):
                 client = await self._client(shard)
-                return await client.estimate_batch(
+                result = await client.estimate_batch(
                     [list(q.use_case.applications) for q in queries],
                     gallery=wire_gallery(first.gallery),
                     model=first.model,
                     method=first.method.value,
                     trace=hop_trace,
                 )
+                raw = result.get("results")
+                if isinstance(raw, list) and any(
+                    isinstance(payload, dict)
+                    and payload.get("error") == SHUTTING_DOWN
+                    for payload in raw
+                ):
+                    # A closing shard refuses every new question and
+                    # is about to drop its connections: fail over now
+                    # rather than hand the refusal to the clients.
+                    raise ServiceConnectionError(
+                        f"shard {shard.name} is shutting down"
+                    )
+                return result
 
         try:
             shard, result = await self._failover(label, attempt)

@@ -4,8 +4,9 @@
 library's batched estimation stack.  Clients connect over TCP (or a
 stdin/stdout pipe) and ask single-use-case questions; the server does
 *not* answer them one by one.  Queries land in a pending queue, and a
-batcher coroutine drains whatever has accumulated — while one batch is
-being solved in a worker thread, new arrivals pile up into the next —
+batcher coroutine drains whatever has accumulated as soon as the solver
+is idle — while one batch is being solved in a worker thread, new
+arrivals pile up into the next —
 groups it by ``(gallery, model, method)``, deduplicates identical
 questions, and feeds each group to
 :meth:`~repro.core.estimator.ProbabilisticEstimator.estimate_many` on
@@ -55,6 +56,7 @@ from repro.service.pool import EnginePool
 from repro.service.workers import DEFAULT_SPLIT_THRESHOLD, SolverPool
 from repro.service.protocol import (
     PROTOCOL_VERSION,
+    SHUTTING_DOWN,
     JsonLinesEndpoint,
     Query,
     parse_cache_entries,
@@ -277,9 +279,13 @@ class EstimationServer(JsonLinesEndpoint):
         Warm estimator pool and LRU result cache; built with defaults
         when omitted (``ResultCache(0)`` disables caching).
     batch_window:
-        Seconds the batcher lingers after the first arrival so
-        concurrent queries coalesce; ``0`` drains immediately (batches
-        then form only from what accumulates while a solve runs).
+        Seconds the batcher lingers after the first arrival before it
+        drains.  The default ``0.0`` drains on idle: when the solver is
+        free a lone miss is solved at once, and batches form from what
+        arrives while a solve runs (a queue only waits while its solver
+        is busy).  A positive window is opt-in: it delays every miss on
+        an idle server by that long in exchange for coalescing
+        arrivals spread across it.
     max_batch:
         Most queries drained into one micro-batch.
     max_pending:
@@ -318,7 +324,7 @@ class EstimationServer(JsonLinesEndpoint):
         self,
         pool: Optional[EnginePool] = None,
         cache: Optional[ResultCache] = None,
-        batch_window: float = 0.002,
+        batch_window: float = 0.0,
         max_batch: int = 128,
         max_pending: int = 1024,
         shed_policy: "QoSPolicy | str" = "reject",
@@ -560,7 +566,7 @@ class EstimationServer(JsonLinesEndpoint):
         requested_model = query.model
         try:
             if self._closing:
-                raise ServiceError("server is shutting down")
+                raise ServiceError(SHUTTING_DOWN)
             cached = self.cache.get(query.key)
             if cached is not None:
                 future.set_result(dict(cached, cached=True))

@@ -22,7 +22,8 @@ Design points that keep the hot paths cheap:
   from an empty context.
 * Exit removes the span from the stack by identity rather than a blind
   pop, so spans exited out of order cannot corrupt parent attribution.
-* Finished spans land in a bounded ``deque`` (oldest evicted first) and,
+* Finished spans land in a bounded ``deque`` (``DEFAULT_MAX_SPANS``
+  unless ``max_spans`` says otherwise; oldest evicted first) and,
   optionally, in a user-supplied sink callable — the JSON-lines span log
   streams through such a sink.
 
@@ -51,6 +52,12 @@ __all__ = [
     "get_tracer",
     "set_tracing_enabled",
 ]
+
+#: Finished spans a :class:`Tracer` keeps by default.  A served query
+#: leaves about five records of roughly 330 bytes each, so the ring
+#: holds the last ~1,600 queries in about 2.7 MB; retention, not
+#: throughput, bounds a long-running server's memory.
+DEFAULT_MAX_SPANS = 8192
 
 
 @dataclass(slots=True)
@@ -185,7 +192,7 @@ class Tracer:
     def __init__(
         self,
         enabled: Optional[bool] = None,
-        max_spans: int = 65536,
+        max_spans: int = DEFAULT_MAX_SPANS,
         sink: Optional[Callable[[SpanRecord], None]] = None,
     ) -> None:
         self.enabled = telemetry_enabled() if enabled is None else enabled

@@ -15,6 +15,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -615,6 +616,71 @@ class TestServer:
                 await server._submit(query)
 
         asyncio.run(scenario())
+
+    def test_default_server_solves_a_lone_miss_without_lingering(self):
+        """Drain on idle: with the solver free, the batcher takes a lone
+        miss at once instead of sleeping a batch window first."""
+        sleeps = []
+        real_sleep = asyncio.sleep
+
+        async def recording_sleep(delay, *args, **kwargs):
+            sleeps.append(delay)
+            return await real_sleep(delay, *args, **kwargs)
+
+        async def scenario(server, host, port):
+            query = parse_estimate({"gallery": GALLERY, "use_case": [names()[0]]})
+            asyncio.sleep = recording_sleep
+            try:
+                answer = await server._submit(query)
+            finally:
+                asyncio.sleep = real_sleep
+            return answer, server.stats
+
+        answer, stats = serve(scenario)
+        assert answer["cached"] is False
+        assert sleeps == []
+        assert (stats.batches, stats.max_batch) == (1, 1)
+
+    def test_misses_arriving_during_a_solve_form_one_batch(self):
+        """Batches form under load without a window: the queries that
+        arrive while the solver thread is busy drain as one batch."""
+        use_cases = list(all_use_cases(names()))
+        first, rest = use_cases[0], use_cases[1:]
+        entered, release = threading.Event(), threading.Event()
+
+        async def scenario(server, host, port):
+            solve = server.pool.solve
+
+            def gated_solve(queries, iterations):
+                entered.set()
+                release.wait()
+                return solve(queries, iterations)
+
+            server.pool.solve = gated_solve
+            loop = asyncio.get_running_loop()
+
+            def submit(use_case):
+                return server._submit(
+                    parse_estimate(
+                        {"gallery": GALLERY, "use_case": list(use_case.applications)}
+                    )
+                )
+
+            busy = submit(first)
+            try:
+                assert await loop.run_in_executor(None, entered.wait, 30)
+                waiting = [submit(use_case) for use_case in rest]
+            finally:
+                release.set()
+            answers = await asyncio.gather(busy, *waiting)
+            return answers, server.stats
+
+        answers, stats = serve(scenario, cache=ResultCache(0))
+        assert all(answer["cached"] is False for answer in answers)
+        assert stats.batches == 2
+        assert stats.max_batch == len(rest)
+        assert stats.solved_queries == len(use_cases)
+        assert answers[-1]["batch_size"] == len(rest)
 
     def test_one_client_can_pipeline_concurrent_queries(self):
         use_cases = list(all_use_cases(names()))[:8]

@@ -499,6 +499,35 @@ class TestFailoverRecompute:
         assert stats["retries"] == 1
         assert stats["errors"] == 0
 
+    def test_a_draining_shard_fails_over_instead_of_refusing(self):
+        """A closing server answers each new question with a
+        "shutting down" error over a still-live connection.  The router
+        must treat that like a dead transport: mark the shard down and
+        ask the ring successor, so the client sees an answer."""
+
+        async def scenario(client, router, servers, addresses):
+            home_name = router._ring.node_for(SPEC.label())
+            home = next(
+                server
+                for server, address in zip(servers, addresses)
+                if f"{address[0]}:{address[1]}" == home_name
+            )
+            # Dial the home shard, then start its graceful close: the
+            # router's connection stays open while new work is refused.
+            warm = await client.estimate([names()[0]], gallery=GALLERY)
+            home._stop_accepting()
+            result = await client.estimate([names()[1]], gallery=GALLERY)
+            return home_name, warm, result, router.snapshot()
+
+        home_name, warm, result, stats = fleet(scenario)
+        assert warm["shard"] == home_name
+        assert result["shard"] != home_name
+        assert result["periods"]
+        assert stats["errors"] == 0
+        assert stats["retries"] == 1
+        assert stats["shards"][home_name] is False
+        assert stats["shard_down"] == 1
+
 
 # ----------------------------------------------------------------------
 # Router micro-batching

@@ -23,7 +23,7 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.core.distributions import DistributionTimeModel, UniformTime
 from repro.core.registry import ARBITERS, ArbiterInfo
@@ -109,6 +109,16 @@ def _uniform_times(graphs):
     )
 
 
+#: Event cap for the drawn scenarios.  Some seeded priority
+#: assignments starve an application for good, and both loops would
+#: otherwise run to the 50M-event default (minutes) before failing
+#: alike.  The largest run that completed among 9,000 draws made like
+#: the ones below took 463,375 events.  A sweep of every priority
+#: assignment at ``target=45`` found rarer slow runs that complete
+#: later (up to 4.38M events); those now compare errors instead.
+DIFFERENTIAL_MAX_EVENTS = 2_000_000
+
+
 @settings(
     max_examples=25,
     deadline=None,
@@ -122,6 +132,16 @@ def _uniform_times(graphs):
     target=st.sampled_from((20, 45)),
     draw_seed=st.integers(0, 1_000),
 )
+# Application A starves under these priorities: both loops must stop
+# at the cap with the same error.
+@example(
+    gallery_seed=31,
+    subset_mask=7,
+    policy="priority_preemptive",
+    draw_seed=332,
+    target=20,
+    record_trace=False,
+)
 def test_run_is_byte_identical_to_the_reference_loop(
     gallery_seed, subset_mask, policy, record_trace, target, draw_seed
 ):
@@ -133,6 +153,7 @@ def test_run_is_byte_identical_to_the_reference_loop(
         arbitration=policy,
         arbitration_params=params,
         record_trace=record_trace,
+        max_events=DIFFERENTIAL_MAX_EVENTS,
     )
     _assert_loops_agree(graphs, mapping, config)
 

@@ -60,6 +60,7 @@ from repro.telemetry.metrics import (
     Gauge,
     Histogram,
 )
+from repro.telemetry.tracing import DEFAULT_MAX_SPANS
 
 GALLERY = {"kind": "paper", "seed": 2007, "applications": 4}
 SPEC = GallerySpec(kind="paper", seed=2007, application_count=4)
@@ -365,6 +366,21 @@ class TestTracer:
             with tracer.span(f"s{index}"):
                 pass
         assert [span.name for span in tracer.spans()] == ["s2", "s3", "s4"]
+
+    def test_default_ring_evicts_past_its_capacity(self):
+        def fill(tracer, count):
+            for index in range(count):
+                tracer.record(f"s{index}", start=float(index), duration=0.0)
+            return [span.name for span in tracer.spans()]
+
+        kept = fill(Tracer(enabled=True), DEFAULT_MAX_SPANS + 2)
+        assert DEFAULT_MAX_SPANS == 8192
+        assert len(kept) == DEFAULT_MAX_SPANS
+        assert kept[0] == "s2"
+        assert kept[-1] == f"s{DEFAULT_MAX_SPANS + 1}"
+        # An explicit bound still wins over the default.
+        roomy = Tracer(enabled=True, max_spans=DEFAULT_MAX_SPANS + 1)
+        assert len(fill(roomy, DEFAULT_MAX_SPANS + 2)) == DEFAULT_MAX_SPANS + 1
 
     def test_sink_streams_each_finished_span(self):
         seen = []
