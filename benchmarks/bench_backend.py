@@ -310,8 +310,9 @@ def test_certification_size_curve(benchmark):
             ]
         )
         weights = times[:, list(engine._edge_actor_indices)]
-        matrix, transits = engine._solver._cycle_matrix(np)
-        candidates = np.max((weights @ matrix.T) / transits, axis=1)
+        index, transits = engine._solver._cycle_index(np)
+        padded = np.hstack([weights, np.zeros((len(weights), 1))])
+        candidates = np.max(padded[:, index].sum(axis=2) / transits, axis=1)
         problems.append((engine._solver, weights, candidates))
     loops = 3 if SMOKE else 20
 

@@ -128,9 +128,9 @@ class AnalysisEngine:
         self._actor_names: Tuple[str, ...] = graph.actor_names
         self._base_times: Dict[str, float] = graph.execution_times()
         self._cache: Dict[Optional[Tuple[float, ...]], float] = {}
-        # Batch-certified periods live in their own memo: a certified
-        # candidate ratio can differ from the scalar Howard result in
-        # the last bits, and the scalar :meth:`period` path must keep
+        # Batch-certified periods live in their own memo: on a near-tie
+        # of two cycles a certified candidate can differ from the scalar
+        # Howard result, and the scalar :meth:`period` path must keep
         # returning byte-stable values even on engines shared with a
         # vectorized sweep (the admission controller's decision logs
         # are byte-compared across backends).
@@ -273,13 +273,16 @@ class AnalysisEngine:
         :class:`~repro.exceptions.GraphError` before anything is solved
         or memoized.
 
-        Batch results are memoized separately from scalar ones: a
-        certified candidate may differ from the scalar solve in the
-        last bits (well inside the 1e-9 parity contract), and the
-        scalar :meth:`period` path — shared with the byte-deterministic
-        admission/runtime layer — must never serve them.  Batched
-        queries *read* the scalar memo (scalar bits are the reference)
-        but only ever *write* their own.
+        A batched period is the canonical ratio of the row's critical
+        cycle (see :mod:`repro.sdf.mcm`), the same bits the scalar
+        :meth:`period` solve returns, whatever the batch.  Batch results
+        are still memoized separately from scalar ones: where two
+        cycles' ratios lie within the solver tolerances (~1e-12
+        relative) certification may report the other one, and the
+        scalar path — shared with the byte-deterministic
+        admission/runtime layer — must never serve such a value.
+        Batched queries *read* the scalar memo but only ever *write*
+        their own.
         """
         resolved = get_backend(backend)
         width = len(self._actor_names)

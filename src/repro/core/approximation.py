@@ -94,7 +94,9 @@ def batched_waiting_series(
     entries whose active multiset is smaller, the extra coefficients are
     mathematically zero (a sub-multiset's ``e_j`` vanishes beyond its
     size), so the result matches the scalar per-pair truncation to float
-    round-off — well inside the 1e-9 parity contract.
+    round-off — well inside the 1e-9 parity contract.  Each row is
+    computed with the same element-wise operations whatever the batch,
+    so a row's bits do not depend on the batch it is evaluated in.
     """
     U, n, _ = inc.shape
     if n == 0 or U == 0:
@@ -114,11 +116,17 @@ def batched_waiting_series(
         loo = full[..., j][:, :, None] - probability_i * loo
         series = series + sign * loo / (j + 1)
         sign = -sign
-    if rowwise:
-        return xp.einsum(
-            "uoi,ui->uo", inc * series, vectors.waiting_product
-        )
-    return xp.einsum("uoi,i->uo", inc * series, vectors.waiting_product)
+    product = vectors.waiting_product
+    terms = inc * series
+    terms *= product[:, None, :] if rowwise else product
+    # Sum over contenders ``i`` as a left fold from 0.0, like the scalar
+    # loop, not as an ``einsum``: a contraction's summation order may
+    # change with the batch shape, and a row's bits must not depend on
+    # the batch it rode in.
+    waiting = terms[..., 0] + 0.0
+    for i in range(1, n):
+        waiting += terms[..., i]
+    return waiting
 
 
 class OrderMWaitingModel:

@@ -50,10 +50,11 @@ ratios, each linear in the weights, and across a sweep the *optimal*
 cycle barely changes; the solver therefore
 
 1. remembers every critical cycle a scalar Howard solve ever produced
-   (as a per-edge incidence vector plus its total transit),
-2. evaluates all remembered cycles against the whole weight batch with
-   one matrix product, yielding a candidate ratio per vector (a lower
-   bound — every candidate is a genuine cycle's ratio), and
+   (as its sorted edge ids plus its total transit),
+2. evaluates every remembered cycle's canonical ratio (below) for the
+   whole weight batch — one element-wise add per edge position — and
+   takes each vector's largest as its candidate (a lower bound — every
+   candidate is a genuine cycle's ratio), and
 3. *certifies* each candidate with a batched max-plus Bellman–Ford pass
    over the cyclic part of the graph: if relaxation under
    ``w - candidate * transit`` admits no positive cycle, no cycle beats
@@ -69,6 +70,19 @@ sweep pays a handful of scalar solves while the bulk of the batch is
 answered by a few array operations.  Certification uses a relative
 tolerance of ~1e-12, well inside the 1e-9 parity contract of the
 vectorized pipeline (Howard's own convergence epsilon is 1e-10).
+
+Every Howard answer, scalar or batched, is the *canonical ratio* of its
+critical cycle (:func:`canonical_cycle_ratio`): the cycle's weights
+added left to right in ascending edge-id order, divided by its transit.
+Policy evaluation sums a cycle from wherever the policy enters it, and
+a reduction such as a matrix product may order its sums by the batch
+shape; the canonical order keeps both out of the answer, and the
+batched path adds candidates element-wise in that same order.  A
+weight vector's ratio therefore carries the same bits whether it is
+solved alone, in any batch, or after any history of solves — unless
+two cycles' ratios lie within the tolerances above, where which of the
+two is reported may still depend on the remembered cycles and the warm
+start.
 """
 
 from __future__ import annotations
@@ -177,6 +191,22 @@ def max_cycle_ratio_edges(
     return solver.solve(initial_policy=initial_policy)
 
 
+def canonical_cycle_ratio(
+    weights: Sequence[float], key: Sequence[int], transit: int
+) -> float:
+    """Ratio of one cycle, summed in its canonical order.
+
+    ``key`` lists the cycle's edge ids in ascending order and ``transit``
+    is its total delay.  The weights are added left to right in that
+    order, so the bits of the result depend only on the cycle and the
+    weights — not on the vertex a traversal entered the cycle at, nor on
+    a batch's shape.  Every MCR answer of :class:`IncrementalMCRSolver`
+    (Howard) is this value for its critical cycle; ``solve_many``
+    computes the same fold element-wise, which matches it bit for bit.
+    """
+    return sum(weights[gid] for gid in key) / transit
+
+
 class IncrementalMCRSolver:
     """Re-solvable MCR problem over one fixed graph structure.
 
@@ -248,13 +278,12 @@ class IncrementalMCRSolver:
                 self._howard_components.append((nodes, out))
         self._policy: Optional[Tuple[int, ...]] = None
         self.solve_count = 0
-        # Batched-solve state: critical cycles seen so far (keyed by
-        # their edge-id sets), the dense candidate matrix derived from
-        # them, and the Bellman-Ford arrays over the cyclic subgraph.
+        # Batched-solve state: critical cycles seen so far (sorted edge
+        # ids -> transit), the padded index array derived from them, and
+        # the Bellman-Ford arrays over the cyclic subgraph.
         # All lazy — a solver that never sees solve_many pays nothing.
-        self._cycle_keys: set = set()
-        self._cycles: List[Tuple[Tuple[int, ...], int]] = []
-        self._cycle_matrix_cache: Optional[Tuple[object, object]] = None
+        self._cycles: Dict[Tuple[int, ...], int] = {}
+        self._cycle_index_cache: Optional[Tuple[object, object]] = None
         self._bf_cache: Optional[Tuple[object, ...]] = None
         self.batch_accepted = 0
         self.batch_fallbacks = 0
@@ -286,7 +315,7 @@ class IncrementalMCRSolver:
         start = initial_policy if initial_policy is not None else self._policy
 
         best: Optional[CycleRatioResult] = None
-        best_cycle_edges: Optional[Tuple[int, ...]] = None
+        best_cycle: Optional[Tuple[Tuple[int, ...], int]] = None
         merged_policy = [-1] * self.vertex_count
         have_policy = False
         if self.method == "howard":
@@ -297,9 +326,15 @@ class IncrementalMCRSolver:
                 have_policy = True
                 for vertex, edge_id in fragment.items():
                     merged_policy[vertex] = edge_id
-                if best is None or result.ratio > best.ratio:
-                    best = result
-                    best_cycle_edges = cycle_edges
+                # Re-derive the ratio in the canonical order, so the
+                # answer does not depend on where policy iteration
+                # entered the cycle (i.e. on the warm-start history).
+                key = tuple(sorted(cycle_edges))
+                transit = sum(self.edges[gid].transit for gid in key)
+                ratio = canonical_cycle_ratio(weight_vector, key, transit)
+                if best is None or ratio > best.ratio:
+                    best = CycleRatioResult(ratio=ratio, cycle=result.cycle)
+                    best_cycle = (key, transit)
         else:
             solver = (
                 _solve_lawler if self.method == "lawler" else _solve_brute
@@ -333,35 +368,44 @@ class IncrementalMCRSolver:
             best = CycleRatioResult(
                 ratio=best.ratio, cycle=best.cycle, policy=self._policy
             )
-            if best_cycle_edges:
-                self._register_cycle(best_cycle_edges)
+            if best_cycle is not None:
+                self._register_cycle(*best_cycle)
         return best
 
     # ------------------------------------------------------------------
     # Batched solving (candidate cycles + Bellman-Ford certification)
     # ------------------------------------------------------------------
-    def _register_cycle(self, cycle_edges: Sequence[int]) -> None:
-        """Remember a critical cycle for future candidate evaluation."""
-        key = tuple(sorted(cycle_edges))
-        if key in self._cycle_keys:
-            return
-        transit = sum(self.edges[gid].transit for gid in cycle_edges)
-        self._cycle_keys.add(key)
-        self._cycles.append((tuple(cycle_edges), transit))
-        self._cycle_matrix_cache = None
+    def _register_cycle(self, key: Tuple[int, ...], transit: int) -> None:
+        """Remember a critical cycle (sorted edge ids + total transit)."""
+        if key not in self._cycles:
+            self._cycles[key] = transit
+            self._cycle_index_cache = None
 
-    def _cycle_matrix(self, xp) -> Tuple[object, object]:
-        """``(K, E)`` incidence matrix + ``(K,)`` transits of the
-        remembered cycles."""
-        if self._cycle_matrix_cache is None:
-            matrix = xp.zeros((len(self._cycles), len(self.edges)))
-            transits = xp.empty(len(self._cycles))
-            for row, (gids, transit) in enumerate(self._cycles):
-                for gid in gids:
-                    matrix[row, gid] += 1.0
-                transits[row] = float(transit)
-            self._cycle_matrix_cache = (matrix, transits)
-        return self._cycle_matrix_cache
+    def _cycle_index(self, xp) -> Tuple[object, object]:
+        """``(K, L)`` sorted edge ids + ``(K,)`` transits of the
+        remembered cycles.
+
+        Rows shorter than the longest cycle are padded with the edge
+        count ``E``, the index of the zero row :meth:`solve_many`
+        appends to its weight columns: adding ``0.0`` at the end of a
+        fold is exact, so padding leaves every canonical sum unchanged.
+        """
+        if self._cycle_index_cache is None:
+            width = max(len(key) for key in self._cycles)
+            pad = len(self.edges)
+            self._cycle_index_cache = (
+                xp.asarray(
+                    [
+                        list(key) + [pad] * (width - len(key))
+                        for key in self._cycles
+                    ],
+                    dtype=int,
+                ),
+                xp.asarray(
+                    [float(transit) for transit in self._cycles.values()]
+                ),
+            )
+        return self._cycle_index_cache
 
     def _bf_structure(self, xp) -> Tuple[object, ...]:
         """Arrays describing the cyclic subgraph for batched relaxation.
@@ -471,7 +515,11 @@ class IncrementalMCRSolver:
         cycles are certified in batch (see the module docstring) and
         only uncertified rows pay a scalar warm-started solve; without
         ``xp`` — the pure-Python backend — every row runs the ordinary
-        scalar path, preserving today's arithmetic exactly.
+        scalar path.  Either way each row's answer is the canonical
+        ratio of its critical cycle, computed with the same additions
+        as :meth:`solve`, so it equals a fresh solver's ``solve(row)``
+        bit for bit whatever the batch around it (see the module
+        docstring for the near-tie caveat).
 
         Returns plain Python floats in row order.
         """
@@ -487,6 +535,11 @@ class IncrementalMCRSolver:
                 f"got shape {tuple(weights.shape)!r}"
             )
         ratios = xp.empty(weights.shape[0])
+        # Vertex-major weights plus a zero row, the pad of
+        # :meth:`_cycle_index`: one gather reads the edge weights of
+        # every remembered cycle for every row, position by position.
+        columns = xp.zeros((len(self.edges) + 1, weights.shape[0]))
+        columns[:-1] = weights.T
 
         def solve_scalar(row: int) -> None:
             ratios[row] = self.solve(weights[row].tolist()).ratio
@@ -510,12 +563,20 @@ class IncrementalMCRSolver:
         # passes instead of one per row.
         stragglers_per_round = 1
         while pending.size:
-            matrix, transits = self._cycle_matrix(xp)
-            rows = weights[pending]
-            candidates = xp.max(
-                (rows @ matrix.T) / transits[None, :], axis=1
-            )
-            certified = self._certify_batch(rows, candidates, xp)
+            index, transits = self._cycle_index(xp)
+            rows = columns[:, pending]
+            # Every remembered cycle's canonical ratio for every row:
+            # the left fold of :func:`canonical_cycle_ratio`, one
+            # element-wise add per sorted edge position, the same IEEE
+            # additions as the scalar sum.
+            steps = rows[index.T]
+            sums = steps[0].copy()
+            for step in steps[1:]:
+                sums += step
+            # ``max`` is exact: on equal ratios any cycle gives the same
+            # bits, so the remembered cycles' order does not matter.
+            candidates = xp.max(sums / transits[:, None], axis=0)
+            certified = self._certify_batch(rows[:-1].T, candidates, xp)
             accepted = xp.flatnonzero(certified)
             ratios[pending[accepted]] = candidates[accepted]
             self.batch_accepted += len(accepted)

@@ -16,6 +16,7 @@ from repro.sdf.hsdf import to_hsdf
 from repro.sdf.mcm import (
     IncrementalMCRSolver,
     RatioEdge,
+    canonical_cycle_ratio,
     max_cycle_ratio,
     max_cycle_ratio_edges,
 )
@@ -490,3 +491,55 @@ class TestVertexMajorCertification:
         # comfortably below never does.
         assert mask[kinds == 3].all()
         assert not mask[kinds == 4].any()
+
+
+class TestBatchInvariance:
+    """A batched answer is the fresh scalar answer, bit for bit."""
+
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(problem=_certification_problems(), warm=st.booleans())
+    def test_solve_many_rows_equal_a_fresh_solve(self, problem, warm):
+        np = pytest.importorskip("numpy")
+        vertex_count, edges, batch, seed, integral = problem
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(1.0, 100.0, (2 * batch, len(edges)))
+        if integral:
+            # Integer weights tie cycles exactly.
+            weights = np.round(weights)
+        history, weights = weights[:batch], weights[batch:]
+        fresh = [
+            IncrementalMCRSolver(vertex_count, edges).solve(list(row)).ratio
+            for row in weights
+        ]
+        solver = IncrementalMCRSolver(vertex_count, edges)
+        if warm:
+            # Earlier batches leave remembered cycles and a policy.
+            solver.solve_many(history, np)
+        assert solver.solve_many(weights, np) == fresh
+        reversed_order = IncrementalMCRSolver(vertex_count, edges)
+        assert reversed_order.solve_many(weights[::-1], np) == fresh[::-1]
+
+    def test_solve_is_independent_of_the_warm_start(self):
+        # Ring 0 -> 1 -> 2 -> 0 is critical; vertex 3 feeds it through
+        # 3 -> 0 or 3 -> 1, which tie exactly, so the converged policy
+        # keeps whichever the start picked and policy evaluation enters
+        # the ring at vertex 0 or 1.  Summed from 0 the ring weighs
+        # 0.6000000000000001, from 1 it weighs 0.6; the answer must be
+        # the canonical (sorted edge id) sum either way.
+        edges = [
+            RatioEdge(0, 1, 0.1, 0),
+            RatioEdge(1, 2, 0.2, 0),
+            RatioEdge(2, 0, 0.3, 1),
+            RatioEdge(2, 3, 0.3, 1),
+            RatioEdge(3, 0, 0.1, 1),
+            RatioEdge(3, 1, 0.2, 1),
+        ]
+        canonical = canonical_cycle_ratio([e.weight for e in edges], (0, 1, 2), 1)
+        assert canonical == (0.1 + 0.2) + 0.3
+        for start in (None, (0, 1, 2, 4), (0, 1, 2, 5)):
+            result = IncrementalMCRSolver(4, edges).solve(initial_policy=start)
+            assert result.ratio == canonical

@@ -141,10 +141,7 @@ class TestSolverPool:
                 ]
                 for split, reference in zip(split_payloads, whole_payloads):
                     assert split["use_case"] == reference["use_case"]
-                    for app, period in reference["periods"].items():
-                        assert split["periods"][app] == pytest.approx(
-                            period, rel=1e-9
-                        )
+                    assert split["periods"] == reference["periods"]
                 snapshot = pool.local_snapshot()
                 assert [
                     entry["batches"]
@@ -172,10 +169,7 @@ class TestSolverPool:
                 assert snapshot["redrives"] >= 1
                 for a, b in zip(first, second):
                     assert a["use_case"] == b["use_case"]
-                    for app, period in a["periods"].items():
-                        assert b["periods"][app] == pytest.approx(
-                            period, rel=1e-9
-                        )
+                    assert b["periods"] == a["periods"]
             finally:
                 pool.shutdown()
 
@@ -227,8 +221,7 @@ class TestWorkerModeServer:
         )
         for a, b in zip(threaded, pooled):
             assert a["use_case"] == b["use_case"]
-            for app, period in a["periods"].items():
-                assert b["periods"][app] == pytest.approx(period, rel=1e-9)
+            assert b["periods"] == a["periods"]
 
     def test_stats_reports_worker_view(self, many_cpus):
         async def scenario(server, host, port):

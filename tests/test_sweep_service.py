@@ -109,10 +109,7 @@ class TestParity:
         assert len(outcome.results) == len(direct)
         for record, result in zip(outcome.results, direct):
             assert record.use_case == result.use_case.applications
-            for app in record.use_case:
-                assert record.periods[app] == pytest.approx(
-                    result.periods[app], rel=1e-9
-                )
+            assert record.periods == result.periods
 
     def test_parallel_matches_serial(self, tmp_path):
         serial = SweepService(jobs=1).sweep(GALLERY)
@@ -120,10 +117,7 @@ class TestParity:
         assert serial.use_case_count == parallel.use_case_count
         for a, b in zip(serial.results, parallel.results):
             assert a.use_case == b.use_case
-            for app in a.use_case:
-                assert a.periods[app] == pytest.approx(
-                    b.periods[app], rel=1e-9
-                )
+            assert a.periods == b.periods
 
     def test_rejects_bad_jobs(self):
         with pytest.raises(ResourceManagerError):
