@@ -204,7 +204,13 @@ def canonical_cycle_ratio(
     (Howard) is this value for its critical cycle; ``solve_many``
     computes the same fold element-wise, which matches it bit for bit.
     """
-    return sum(weights[gid] for gid in key) / transit
+    # Not ``sum()``: from Python 3.12 on it compensates float rounding
+    # (Neumaier), which the element-wise fold of ``solve_many`` cannot
+    # reproduce.
+    total = 0.0
+    for gid in key:
+        total += weights[gid]
+    return total / transit
 
 
 class IncrementalMCRSolver:
@@ -568,11 +574,10 @@ class IncrementalMCRSolver:
             # Every remembered cycle's canonical ratio for every row:
             # the left fold of :func:`canonical_cycle_ratio`, one
             # element-wise add per sorted edge position, the same IEEE
-            # additions as the scalar sum.
-            steps = rows[index.T]
-            sums = steps[0].copy()
-            for step in steps[1:]:
-                sums += step
+            # additions as the scalar fold.
+            sums = rows[index[:, 0]]
+            for position in range(1, index.shape[1]):
+                sums += rows[index[:, position]]
             # ``max`` is exact: on equal ratios any cycle gives the same
             # bits, so the remembered cycles' order does not matter.
             candidates = xp.max(sums / transits[:, None], axis=0)
