@@ -91,7 +91,7 @@ async def _served_periods(slices):
     cost, not the one-time structural build.  Every client pipelines
     its whole slice, the pattern N independent frontends produce.
     """
-    pool = EnginePool(backend="numpy")
+    pool = EnginePool()
     pool.estimator(GALLERY, MODEL, AnalysisMethod.MCR)
     server = EstimationServer(
         pool=pool,
@@ -216,7 +216,6 @@ async def _bench_served(slices, solver_workers):
         cache=ResultCache(0),
         batch_window=0.003,
         max_batch=512,
-        backend="numpy",
         solver_workers=solver_workers,
     )
     host, port = await server.start()
@@ -399,7 +398,6 @@ def test_service_load_generator_reports(benchmark):
             application_count=_smoke_or_full(8, APPLICATIONS)
         ),
         cache_entries=0,
-        backend="numpy",
     )
     load = benchmark.pedantic(lambda: run_load(config), rounds=1, iterations=1)
     assert load.errors == 0
@@ -425,7 +423,6 @@ def test_service_fleet_load(benchmark):
         gallery=GallerySpec(
             application_count=_smoke_or_full(8, APPLICATIONS)
         ),
-        backend="numpy",
     )
     load = benchmark.pedantic(lambda: run_load(config), rounds=1, iterations=1)
     assert load.errors == 0
@@ -459,7 +456,6 @@ def test_router_batching_speedup(benchmark):
                 mean_interarrival_ms=0.5,
                 gallery=GallerySpec(application_count=4),
                 router_batch_window=window,
-                backend="numpy",
             )
         )
 

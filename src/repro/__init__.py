@@ -54,10 +54,11 @@ Subpackages
     Reproduction of every evaluation artefact (Table 1, Figures 5-6,
     timing, runtime throughput).
 ``repro.backend``
-    Pluggable array backends (NumPy vectorized / pure-Python scalar)
-    behind the estimation hot paths; select per estimator, via
-    ``repro sweep --backend`` or the ``REPRO_BACKEND`` environment
-    variable.
+    The scalar and batched flavours of the estimation arithmetic, which
+    give the same bits.  A batch runs on the NumPy kernels when NumPy
+    is importable and it has at least ``BATCH_MIN_ROWS`` rows, and on
+    the scalar loop otherwise; ``backend="python"`` on the estimator
+    forces the scalar reference loop.
 """
 
 from repro.admission import AdmissionController, AdmissionDecision

@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.backend import ArrayBackend, get_backend
+from repro.backend import BATCH_MIN_ROWS, ArrayBackend, get_backend
 from repro.exceptions import AnalysisError, GraphError
 from repro.sdf.analysis import AnalysisMethod, CriticalCycle
 from repro.sdf.graph import SDFGraph
@@ -132,8 +132,8 @@ class AnalysisEngine:
         # of two cycles a certified candidate can differ from the scalar
         # Howard result, and the scalar :meth:`period` path must keep
         # returning byte-stable values even on engines shared with a
-        # vectorized sweep (the admission controller's decision logs
-        # are byte-compared across backends).
+        # batched sweep (the admission controller's decision logs are
+        # byte-compared).
         self._batch_cache: Dict[Tuple[float, ...], float] = {}
 
         if method is AnalysisMethod.MCR:
@@ -256,14 +256,16 @@ class AnalysisEngine:
         list of their periods, in row order, as plain floats.
 
         Rows already in a response-time memo are answered without
-        solving.  With a vectorized backend and a warm-startable MCR
-        solver the remaining rows go through
+        solving.  A batch of at least
+        :data:`~repro.backend.BATCH_MIN_ROWS` rows on a warm-startable
+        MCR solver runs batched when NumPy is importable: the remaining
+        rows go through
         :meth:`~repro.sdf.mcm.IncrementalMCRSolver.solve_many` —
         candidate cycles certified in batch, scalar warm solves only
-        for the stragglers; any other configuration (the pure-Python
-        backend, ``lawler``/``brute``, the state-space method) falls
-        back to per-row :meth:`period` calls, preserving the scalar
-        arithmetic exactly.
+        for the stragglers.  Anything else (fewer rows,
+        ``backend="python"``, which forces the scalar reference loop,
+        ``lawler``/``brute``, the state-space method) runs per-row
+        :meth:`period` calls.
 
         The batched branch walks the rows once: scalar memo, then batch
         memo, then first-seen dedup of the misses, so repeated vectors
@@ -286,8 +288,14 @@ class AnalysisEngine:
         """
         resolved = get_backend(backend)
         width = len(self._actor_names)
+        use_batch = (
+            resolved.vectorized
+            and len(time_vectors) >= BATCH_MIN_ROWS
+            and self.method is AnalysisMethod.MCR
+            and self.mcr_algorithm == "howard"
+        )
         matrix = None
-        if resolved.vectorized:
+        if use_batch:
             xp = resolved.xp  # type: ignore[union-attr]
             try:
                 matrix = xp.asarray(time_vectors, dtype=float)
@@ -304,11 +312,6 @@ class AnalysisEngine:
                 raise AnalysisError(
                     f"expected {width} times per vector, got {len(key)}"
                 )
-        use_batch = (
-            resolved.vectorized
-            and self.method is AnalysisMethod.MCR
-            and self.mcr_algorithm == "howard"
-        )
         if use_batch:
             # One pass over the keys: scalar memo, then batch memo, then
             # first-seen dedup of the misses.  Sweeps routinely repeat
@@ -369,10 +372,10 @@ class AnalysisEngine:
             if hit_rows:
                 self._metric_cache_hits.inc(hit_rows)
             return periods
-        # Non-vectorized (or non-warm-startable) configurations run the
+        # Small batches and non-warm-startable configurations run the
         # plain scalar path, scalar memo only — the batch memo is never
-        # consulted, so a python-backend run stays byte-pure even on an
-        # engine previously used by a vectorized sweep.
+        # consulted, so a scalar run stays byte-pure even on an engine
+        # previously used by a batched sweep.
         return [
             self.period(dict(zip(self._actor_names, key)))
             for key in keys

@@ -1,12 +1,13 @@
-"""Pluggable array backends (NumPy or pure Python) for estimation.
+"""The scalar and batched flavours of the estimation arithmetic.
 
-See :mod:`repro.backend.array` for the selection rules and the parity
-contract between the two flavours.
+See :mod:`repro.backend.array` for the dispatch rule (NumPy present and
+at least :data:`BATCH_MIN_ROWS` rows) and the same-bits contract
+between the two flavours.
 """
 
 from repro.backend.array import (
-    BACKEND_ENV_VAR,
     BACKEND_NAMES,
+    BATCH_MIN_ROWS,
     ArrayBackend,
     NumpyBackend,
     PythonBackend,
@@ -15,8 +16,8 @@ from repro.backend.array import (
 )
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "BACKEND_NAMES",
+    "BATCH_MIN_ROWS",
     "ArrayBackend",
     "NumpyBackend",
     "PythonBackend",

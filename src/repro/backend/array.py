@@ -1,128 +1,83 @@
-"""Pluggable array backends for the estimation hot paths.
+"""The two flavours of the estimation arithmetic, and the rule between them.
 
-The estimation kernels — waiting-time formulas, blocking profiles,
-``DiscreteTime`` moments, and the batched MCR verification — come in two
-flavours:
+The estimation kernels — waiting-time formulas and the MCR period
+queries — come in two flavours that give the same bits:
 
-* **scalar** — today's pure-Python implementations, exact to the last
-  bit and dependency-free;
-* **vectorized** — NumPy implementations that batch whole use-cases
-  (arrays shaped ``(use_cases, actors)``) instead of looping per
-  ``(actor, resource)`` pair.
+* **scalar** — the pure-Python reference loop, one use-case at a time,
+  dependency-free;
+* **batched** — NumPy kernels over whole batches (arrays shaped
+  ``(use_cases, actors)``) instead of loops per ``(actor, resource)``
+  pair.
 
-An :class:`ArrayBackend` names which flavour a component should use.
-The **python** backend deliberately does *not* re-implement NumPy in
-pure Python: its contract is to preserve today's exact scalar
-arithmetic, so every batched entry point dispatches on
-:attr:`ArrayBackend.vectorized` and runs the established scalar loops
-when it is ``False``.  The **numpy** backend exposes the module handle
-(:attr:`NumpyBackend.xp`) to the vectorized kernels.
+The code picks the flavour from what it can observe.  A batch runs on
+the kernels when NumPy is importable and it has at least
+:data:`BATCH_MIN_ROWS` rows; anything smaller runs the scalar loop,
+which is faster there.  Both flavours fold every sum in the same fixed
+order, so the choice changes no bit of an answer.  One caveat: where
+two cycles' ratios lie within the MCR certification tolerance
+(~1e-12 relative, see :mod:`repro.sdf.mcm`), a certified batch row may
+report the other cycle of the near-tie.
 
-Selection (strongest wins):
-
-1. an explicit ``backend=`` argument (an :class:`ArrayBackend` or one of
-   the names ``"auto"``, ``"numpy"``, ``"python"``);
-2. the ``REPRO_BACKEND`` environment variable (same names);
-3. ``auto`` — NumPy when importable, the Python fallback otherwise.
-
-Every layer that estimates — :class:`~repro.core.estimator.
-ProbabilisticEstimator`, :class:`~repro.analysis_engine.AnalysisEngine.
-period_for`, the :class:`~repro.runtime.service.SweepService` workers and
-``repro sweep --backend`` — accepts the same names, so one flag selects
-the flavour end to end.  The two backends agree to well within 1e-9
-relative on every period and waiting time (asserted by
-``tests/test_backend_parity.py`` and the golden fixtures).
+:class:`~repro.core.estimator.ProbabilisticEstimator` and
+:meth:`~repro.analysis_engine.AnalysisEngine.period_for` take
+``backend="python"`` to force the scalar reference loop at any batch
+size; tests and benchmarks compare the kernels against it.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.exceptions import AnalysisError
 
-#: Environment variable consulted when no explicit backend is given.
-BACKEND_ENV_VAR = "REPRO_BACKEND"
+#: Fewest batch rows that run on the NumPy kernels; smaller batches run
+#: the scalar loop.  Measured on a 2-CPU x86 host (Python 3.11, NumPy
+#: 2.4): ``estimate_many`` on ``paper`` galleries of seed 2007 with 6, 8
+#: and 10 apps, ``second_order`` and ``composability``, 2 to 16 distinct
+#: random use-cases per call, memo cleared before each call, median of
+#: 21 calls, with this constant set to T for both the estimator and
+#: ``period_for``.  Summed over those 48 cells: T=3 172.6 ms, T=4
+#: 166.2, T=5 174.8, T=6 182.9.  At 3 rows the scalar loop won or tied
+#: in all 6 (gallery, model) pairs (``second_order`` 6 apps 1.65 vs
+#: 2.15 ms); at 4 rows the kernels won in 5 of 6 (``second_order`` 10
+#: apps 2.67 vs 3.21 ms, ``composability`` 10 apps 4.16 vs 5.79 ms).
+#: ``period_for`` alone crosses over at 3-4 rows (a 9-actor graph:
+#: 0.36 vs 0.38 ms at 3, 0.46 vs 0.40 ms at 4).  At 1 row the scalar
+#: loop takes a third to a fifth of the batched time.
+BATCH_MIN_ROWS = 4
 
-#: Names accepted by :func:`get_backend` (and ``REPRO_BACKEND``).
+#: Names accepted by :func:`get_backend`.
 BACKEND_NAMES: Tuple[str, ...] = ("auto", "numpy", "python")
 
 
 class ArrayBackend:
-    """Interface: the array flavour of the estimation kernels.
+    """Which flavour of the estimation arithmetic a component may use.
 
     Attributes
     ----------
     name:
         ``"numpy"`` or ``"python"``.
     vectorized:
-        Whether batched kernels should run (``True`` only for NumPy).
+        Whether batches of :data:`BATCH_MIN_ROWS` or more rows may run
+        on the NumPy kernels (``True`` only for NumPy).
     """
 
     name: str = "abstract"
     vectorized: bool = False
-
-    # The scalar reductions below are the only operations the *shared*
-    # code paths (e.g. DiscreteTime moments) need; the heavy batched
-    # kernels are NumPy-only and receive the module handle instead.
-    def dot(
-        self, values: Sequence[float], weights: Sequence[float]
-    ) -> float:
-        """``sum(v * w)`` over two equal-length sequences."""
-        raise NotImplementedError
-
-    def weighted_second_moment(
-        self, values: Sequence[float], weights: Sequence[float]
-    ) -> float:
-        """``sum(v * v * w)`` over two equal-length sequences."""
-        raise NotImplementedError
-
-    def sum(self, values: Sequence[float]) -> float:
-        """Sum of a sequence."""
-        raise NotImplementedError
-
-    def scale(
-        self, values: Sequence[float], factor: float
-    ) -> Tuple[float, ...]:
-        """``tuple(v * factor for v in values)``."""
-        raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"
 
 
 class PythonBackend(ArrayBackend):
-    """Dependency-free fallback preserving today's exact arithmetic.
-
-    All reductions run the same left-to-right Python loops the scalar
-    implementations always used, so enabling the backend layer changes
-    no float anywhere.
-    """
+    """The scalar reference loop, whatever the batch size."""
 
     name = "python"
     vectorized = False
 
-    def dot(
-        self, values: Sequence[float], weights: Sequence[float]
-    ) -> float:
-        return sum(v * w for v, w in zip(values, weights))
-
-    def weighted_second_moment(
-        self, values: Sequence[float], weights: Sequence[float]
-    ) -> float:
-        return sum(v * v * w for v, w in zip(values, weights))
-
-    def sum(self, values: Sequence[float]) -> float:
-        return sum(values)
-
-    def scale(
-        self, values: Sequence[float], factor: float
-    ) -> Tuple[float, ...]:
-        return tuple(v * factor for v in values)
-
 
 class NumpyBackend(ArrayBackend):
-    """NumPy-vectorized flavour; carries the module handle for kernels."""
+    """NumPy kernels for large batches; carries the module handle."""
 
     name = "numpy"
     vectorized = True
@@ -131,34 +86,6 @@ class NumpyBackend(ArrayBackend):
         import numpy
 
         self.xp = numpy
-
-    def dot(
-        self, values: Sequence[float], weights: Sequence[float]
-    ) -> float:
-        return float(
-            self.xp.dot(
-                self.xp.asarray(values, dtype=float),
-                self.xp.asarray(weights, dtype=float),
-            )
-        )
-
-    def weighted_second_moment(
-        self, values: Sequence[float], weights: Sequence[float]
-    ) -> float:
-        v = self.xp.asarray(values, dtype=float)
-        w = self.xp.asarray(weights, dtype=float)
-        return float(self.xp.dot(v * v, w))
-
-    def sum(self, values: Sequence[float]) -> float:
-        return float(self.xp.sum(self.xp.asarray(values, dtype=float)))
-
-    def scale(
-        self, values: Sequence[float], factor: float
-    ) -> Tuple[float, ...]:
-        return tuple(
-            float(x)
-            for x in self.xp.asarray(values, dtype=float) * factor
-        )
 
 
 def numpy_available() -> bool:
@@ -174,26 +101,22 @@ _INSTANCES: Dict[str, ArrayBackend] = {}
 
 
 def get_backend(
-    backend: "Optional[str | ArrayBackend]" = None,
+    selection: "Optional[str | ArrayBackend]" = None,
 ) -> ArrayBackend:
     """Resolve a backend selection to an :class:`ArrayBackend` instance.
 
-    ``backend`` may be an instance (returned as-is), one of the names in
-    :data:`BACKEND_NAMES`, or ``None`` — in which case the
-    ``REPRO_BACKEND`` environment variable decides, defaulting to
-    ``auto``.  ``numpy`` raises :class:`~repro.exceptions.AnalysisError`
-    when NumPy is not importable; ``auto`` silently falls back to the
-    Python backend instead.
+    ``selection`` may be an instance (returned as-is), one of the names
+    in :data:`BACKEND_NAMES`, or ``None`` (``auto``): NumPy when
+    importable, the Python backend otherwise.  ``numpy`` raises
+    :class:`~repro.exceptions.AnalysisError` when NumPy is not
+    importable.
     """
-    if isinstance(backend, ArrayBackend):
-        return backend
-    name = backend
-    if name is None:
-        name = os.environ.get(BACKEND_ENV_VAR, "") or "auto"
-    name = name.strip().lower()
+    if isinstance(selection, ArrayBackend):
+        return selection
+    name = (selection or "auto").strip().lower()
     if name not in BACKEND_NAMES:
         raise AnalysisError(
-            f"unknown array backend {backend!r}; choose from "
+            f"unknown array backend {selection!r}; choose from "
             f"{', '.join(BACKEND_NAMES)}"
         )
     if name == "auto":

@@ -145,7 +145,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "fixed-point refinement passes per estimate for "
             "--estimates-only (batched across the whole sweep with a "
-            "per-row convergence mask on the numpy backend)"
+            "per-row convergence mask when numpy is installed)"
         ),
     )
     sweep.add_argument(
@@ -166,17 +166,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "worker processes for --estimates-only misses "
             "(1 = in-process)"
-        ),
-    )
-    sweep.add_argument(
-        "--backend",
-        choices=("auto", "numpy", "python"),
-        default=None,
-        help=(
-            "array backend for --estimates-only: numpy batches whole "
-            "use-cases, python preserves the scalar reference "
-            "arithmetic; auto picks numpy when installed (default: "
-            "the REPRO_BACKEND environment variable, then auto)"
         ),
     )
     sweep.set_defaults(handler=_cmd_sweep)
@@ -394,19 +383,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="LRU result-cache entries (0 disables caching)",
     )
     serve.add_argument(
-        "--backend",
-        choices=("auto", "numpy", "python"),
-        default=None,
-        help="array backend for the pool's estimators",
-    )
-    serve.add_argument(
         "--fixed-point-iterations",
         type=int,
         default=1,
         metavar="N",
         help=(
             "fixed-point refinement passes per solve (server-wide; "
-            "vectorized backends refine whole micro-batches with a "
+            "batched solves refine whole micro-batches with a "
             "per-row convergence mask)"
         ),
     )
@@ -915,7 +898,6 @@ def _cmd_sweep(arguments) -> None:
         ("model", None),
         ("store", None),
         ("jobs", 1),
-        ("backend", None),
     ):
         if getattr(arguments, flag) != default:
             raise ExperimentError(
@@ -998,7 +980,6 @@ def _cmd_sweep_estimates_only(arguments) -> None:
         list(suite.graphs),
         mapping=suite.mapping,
         waiting_model=model,
-        backend=arguments.backend,
     )
     started = _time.perf_counter()
     # sweep_all_sizes and SweepConfig share DEFAULT_SWEEP_SEED, so this
@@ -1079,9 +1060,7 @@ def _cmd_sweep_service(arguments, model: str, samples) -> None:
         if arguments.store is not None
         else None
     )
-    service = SweepService(
-        store=store, jobs=arguments.jobs, backend=arguments.backend
-    )
+    service = SweepService(store=store, jobs=arguments.jobs)
     outcome = service.sweep(
         _gallery_spec(arguments),
         model=model,
@@ -1144,7 +1123,6 @@ def _cmd_serve(arguments) -> None:
             max_batch=arguments.max_batch,
             max_pending=arguments.max_pending,
             shed_policy=arguments.shed_policy,
-            backend=arguments.backend,
             fixed_point_iterations=arguments.fixed_point_iterations,
             solver_workers=arguments.workers,
             registry=registry,

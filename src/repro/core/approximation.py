@@ -93,10 +93,13 @@ def batched_waiting_series(
     series is truncated at the *processor-wide* highest order; for batch
     entries whose active multiset is smaller, the extra coefficients are
     mathematically zero (a sub-multiset's ``e_j`` vanishes beyond its
-    size), so the result matches the scalar per-pair truncation to float
-    round-off — well inside the 1e-9 parity contract.  Each row is
-    computed with the same element-wise operations whatever the batch,
-    so a row's bits do not depend on the batch it is evaluated in.
+    size), and their round-off residues fall below the series' rounding
+    step, so the result has the bits of the scalar per-pair truncation
+    (:func:`waiting_time_order_m`, which ``exact`` runs at order ``n``;
+    the parity tests assert ``==``).
+    Each row is computed with the same element-wise operations whatever
+    the batch, so a row's bits do not depend on the batch it is
+    evaluated in.
     """
     U, n, _ = inc.shape
     if n == 0 or U == 0:

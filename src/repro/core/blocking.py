@@ -17,12 +17,10 @@ For an actor ``a`` of application ``A`` executing in isolation with period
 :func:`build_profiles` assembles these quantities for every actor of every
 application of a use-case, which is what every waiting model consumes.
 
-For the vectorized estimation pipeline, :func:`resident_vectors` lowers
+For the batched estimation pipeline, :func:`resident_vectors` lowers
 the profiles of one processor's residents into parallel arrays
 (probability, ``mu``, ``tau``, ``mu * P``) — the representation the
-batched waiting kernels consume — and
-:func:`blocking_probabilities_batch` is the array flavour of
-Definition 4 covering a whole application at once.
+batched waiting kernels consume.
 """
 
 from __future__ import annotations
@@ -147,7 +145,6 @@ def build_profiles(
     graphs: Sequence[SDFGraph],
     periods: Optional[Mapping[str, float]] = None,
     mus: Optional[Mapping[Tuple[str, str], float]] = None,
-    backend=None,
     priorities: Optional[Mapping[Tuple[str, str], float]] = None,
 ) -> Dict[Tuple[str, str], ActorProfile]:
     """Profiles for every actor of every application.
@@ -163,14 +160,6 @@ def build_profiles(
         Optional ``(application, actor) -> mu`` overrides, used by the
         stochastic-execution-time extension where ``mu`` is the mean
         residual life rather than ``tau/2``.
-    backend:
-        Optional :class:`~repro.backend.ArrayBackend`; a *vectorized*
-        backend computes each application's blocking probabilities with
-        one array operation.  The default (``None``) always runs the
-        scalar arithmetic — callers that must produce bit-identical
-        output regardless of the environment (the run-time manager's
-        decision logs are byte-compared across configurations) rely on
-        that.
     priorities:
         Optional ``(application, actor) -> priority`` values (from the
         mapping); absent keys default to 0.
@@ -180,9 +169,6 @@ def build_profiles(
     dict
         ``(application, actor) -> ActorProfile``.
     """
-    vectorized = backend is not None and getattr(
-        backend, "vectorized", False
-    )
     profiles: Dict[Tuple[str, str], ActorProfile] = {}
     for graph in graphs:
         if periods is not None and graph.name in periods:
@@ -190,83 +176,22 @@ def build_profiles(
         else:
             app_period = analytical_period(graph)
         q = repetition_vector(graph)
-        actors = list(graph.actors)
-        if vectorized:
-            xp = backend.xp
-            probabilities = blocking_probabilities_batch(
-                xp.asarray(
-                    [a.execution_time for a in actors], dtype=float
+        for actor in graph.actors:
+            key = (graph.name, actor.name)
+            profiles[key] = build_profile(
+                application=graph.name,
+                actor=actor.name,
+                tau=actor.execution_time,
+                repetitions=q[actor.name],
+                period=app_period,
+                mu=mus.get(key) if mus is not None else None,
+                priority=(
+                    priorities.get(key, 0.0)
+                    if priorities is not None
+                    else 0.0
                 ),
-                xp.asarray([q[a.name] for a in actors], dtype=float),
-                app_period,
-                xp,
-            ).tolist()
-            for actor, probability in zip(actors, probabilities):
-                key = (graph.name, actor.name)
-                mu = mus.get(key) if mus is not None else None
-                profiles[key] = ActorProfile(
-                    application=graph.name,
-                    actor=actor.name,
-                    tau=actor.execution_time,
-                    repetitions=q[actor.name],
-                    period=app_period,
-                    probability=probability,
-                    mu=(
-                        mu
-                        if mu is not None
-                        else average_blocking_time(
-                            actor.execution_time
-                        )
-                    ),
-                    priority=(
-                        priorities.get(key, 0.0)
-                        if priorities is not None
-                        else 0.0
-                    ),
-                )
-        else:
-            for actor in actors:
-                key = (graph.name, actor.name)
-                profiles[key] = build_profile(
-                    application=graph.name,
-                    actor=actor.name,
-                    tau=actor.execution_time,
-                    repetitions=q[actor.name],
-                    period=app_period,
-                    mu=mus.get(key) if mus is not None else None,
-                    priority=(
-                        priorities.get(key, 0.0)
-                        if priorities is not None
-                        else 0.0
-                    ),
-                )
+            )
     return profiles
-
-
-def blocking_probabilities_batch(taus, repetitions, period: float, xp):
-    """Vectorized Definition 4 for all actors of one application.
-
-    ``taus`` and ``repetitions`` are equal-length arrays; ``period`` is
-    the application's period.  Enforces the same contract as
-    :func:`blocking_probability` (positive period, sane timings, no
-    utilization above 1) and returns the clamped probability array.
-    """
-    if period <= 0:
-        raise AnalysisError(f"period must be positive, got {period}")
-    if bool(xp.any(taus < 0)) or bool(xp.any(repetitions < 1)):
-        raise AnalysisError(
-            "invalid actor timing in batch: need tau >= 0 and q >= 1"
-        )
-    probabilities = taus * repetitions / period
-    if bool(xp.any(probabilities > 1.0 + 1e-9)):
-        worst = int(xp.argmax(probabilities))
-        raise AnalysisError(
-            f"blocking probability {float(probabilities[worst]):.4f} "
-            f"exceeds 1: actor busy time tau*q="
-            f"{float(taus[worst] * repetitions[worst]):g} exceeds "
-            f"period {period:g}"
-        )
-    return xp.minimum(probabilities, 1.0)
 
 
 @dataclass(frozen=True)

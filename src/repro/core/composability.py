@@ -32,6 +32,10 @@ from repro.core.blocking import ActorProfile, ResidentVectors
 from repro.exceptions import AnalysisError
 
 _PROBABILITY_CEILING = 1.0 - 1e-12
+_SATURATED = (
+    "cannot decompose an actor with blocking probability 1 "
+    "(Eq. 8 requires P_b != 1)"
+)
 
 
 @dataclass(frozen=True)
@@ -71,10 +75,7 @@ def prob_decompose(p_total: float, pb: float) -> float:
     aggregate.  Undefined for ``pb = 1`` (the paper notes the same
     restriction)."""
     if pb >= _PROBABILITY_CEILING:
-        raise AnalysisError(
-            "cannot decompose an actor with blocking probability 1 "
-            "(Eq. 8 requires P_b != 1)"
-        )
+        raise AnalysisError(_SATURATED)
     return (p_total - pb) / (1.0 - pb)
 
 
@@ -127,12 +128,8 @@ def batched_waiting_composition(
     processor order — exactly the scalar ``compose_all`` order — and
     each step applies :func:`compose`'s arithmetic elementwise, skipping
     excluded residents, so every ``(u, o)`` entry reproduces the scalar
-    *direct* left-fold bit for bit.  The incremental variant's
-    compose-own-last-then-decompose round trip inverts the same fold
-    only up to float cancellation in :func:`decompose`'s divisions, so
-    for it this kernel matches the scalar path to ~1e-15 relative —
-    inside the backend parity contract (1e-9), but not bit-identical;
-    anything byte-determinism-sensitive must stay on the scalar path.
+    left fold of :class:`CompositionWaitingModel` bit for bit, for both
+    variants.
 
     Returns an array of shape ``(U, n)`` of ``mu.P`` waiting products.
     """
@@ -167,12 +164,14 @@ def batched_waiting_composition(
 class CompositionWaitingModel:
     """Composability-based waiting model (Section 4.2).
 
-    ``incremental=False`` composes the *other* actors directly (O(n) per
-    actor, O(n^2) per node).  ``incremental=True`` composes the node once
-    and removes the requesting actor with the inverse operators (O(n) per
-    node + O(1) per actor) — the complexity the paper advertises for the
-    inverse formulation.  Both produce the same estimate up to the
-    second-order associativity error of ``(x)``.
+    Both variants compose the *other* actors directly with the Eq. 6/7
+    left fold (O(n) per actor, O(n^2) per node), the arithmetic of the
+    batched kernel, so the scalar loop and the kernel give the same
+    bits.  ``incremental=True`` keeps the inverse formulation's domain:
+    it refuses an actor with blocking probability 1 that has
+    contenders, since Eq. 8 cannot decompose it out of its node's
+    aggregate.  The inverse operators themselves (:func:`decompose`)
+    serve the admission controller's O(1) updates.
     """
 
     complexity = "O(n)"
@@ -188,14 +187,9 @@ class CompositionWaitingModel:
     ) -> float:
         if not others:
             return 0.0
-        if not self.incremental:
-            return compose_all(others).waiting_product
-        # Compose ``own`` last: decomposition inverts the most recent
-        # composition exactly, so the incremental estimate matches the
-        # direct one bit-for-bit (the ``(x)`` operator is only
-        # associative to second order, so the fold order matters).
-        total = compose_all([*others, own])
-        return decompose(total, Composite.of_profile(own)).waiting_product
+        if self.incremental and own.probability >= _PROBABILITY_CEILING:
+            raise AnalysisError(_SATURATED)
+        return compose_all(others).waiting_product
 
     def waiting_times_batch(
         self, vectors: ResidentVectors, inc, own_active, xp
@@ -203,7 +197,7 @@ class CompositionWaitingModel:
         """Batched Eq. 6/7 fold (shared by both variants — see
         :func:`batched_waiting_composition`).
 
-        The incremental variant enforces the scalar path's Eq. 8
+        The incremental variant enforces the scalar loop's Eq. 8
         restriction first: an *active* actor with blocking probability
         1 and at least one active contender cannot be decomposed out of
         its aggregate, so the batch raises exactly where the scalar
@@ -219,8 +213,5 @@ class CompositionWaitingModel:
                 (own_active > 0) & at_ceiling & (inc.sum(axis=2) > 0)
             )
             if bool(xp.any(affected)):
-                raise AnalysisError(
-                    "cannot decompose an actor with blocking "
-                    "probability 1 (Eq. 8 requires P_b != 1)"
-                )
+                raise AnalysisError(_SATURATED)
         return batched_waiting_composition(vectors, inc, xp)

@@ -20,10 +20,9 @@ comparable under the same randomness.
 from __future__ import annotations
 
 import random
-from dataclasses import InitVar, dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Mapping, Sequence, Tuple
 
-from repro.backend import get_backend
 from repro.exceptions import AnalysisError
 from repro.simulation.engine import TimeModel
 
@@ -140,24 +139,12 @@ class DiscreteTime(ExecutionTimeDistribution):
     mass — a zero or negative weight is always a modelling mistake (the
     value either cannot occur and should be dropped, or the input was
     mangled), and silently accepting it would skew the normalization.
-
-    ``backend`` (init-only) selects the array flavour of the
-    normalization/moment reductions.  Unlike the estimation pipeline,
-    the default here is the *scalar* arithmetic rather than the
-    ``REPRO_BACKEND`` environment: distributions are constructed
-    independently of any estimator, their supports are a handful of
-    values (no speed to gain), and their moments feed ``mus`` overrides
-    whose bits must not depend on what happens to be installed.  Pass
-    ``backend="numpy"`` (or an :class:`~repro.backend.ArrayBackend`)
-    to opt in to the vectorized reductions — they agree with the scalar
-    ones to ~1e-16 relative.
     """
 
     values: Tuple[float, ...]
     weights: Tuple[float, ...]
-    backend: InitVar[Optional[object]] = None
 
-    def __post_init__(self, backend: Optional[object] = None) -> None:
+    def __post_init__(self) -> None:
         if len(self.values) != len(self.weights) or not self.values:
             raise AnalysisError(
                 "values and weights must be equal-length and non-empty"
@@ -177,43 +164,23 @@ class DiscreteTime(ExecutionTimeDistribution):
         # second_moment() call (the estimator queries them per actor per
         # estimate).  object.__setattr__ is the sanctioned backdoor for
         # frozen-dataclass caches.
-        resolved = (
-            get_backend(backend) if backend is not None else None
-        )
-        if resolved is not None and resolved.vectorized:
-            normalized = resolved.scale(self.weights, 1.0 / total)
-            mean = resolved.dot(self.values, normalized)
-            second = resolved.weighted_second_moment(
-                self.values, normalized
-            )
-        else:
-            normalized = tuple(w / total for w in self.weights)
-            mean = sum(
-                v * w for v, w in zip(self.values, normalized)
-            )
-            second = sum(
-                v * v * w for v, w in zip(self.values, normalized)
-            )
+        normalized = tuple(w / total for w in self.weights)
+        mean = sum(v * w for v, w in zip(self.values, normalized))
+        second = sum(v * v * w for v, w in zip(self.values, normalized))
         object.__setattr__(self, "_normalized_weights", normalized)
         object.__setattr__(self, "_mean", mean)
         object.__setattr__(self, "_second_moment", second)
 
     @classmethod
-    def of(
-        cls,
-        pairs: Sequence[Tuple[float, float]],
-        backend: Optional[object] = None,
-    ) -> "DiscreteTime":
+    def of(cls, pairs: Sequence[Tuple[float, float]]) -> "DiscreteTime":
         """Build from ``(value, weight)`` pairs.
 
         Raises :class:`~repro.exceptions.AnalysisError` when any weight
-        is zero or negative (see the class docstring).  ``backend``
-        opts the moment reductions into an explicit array backend.
+        is zero or negative (see the class docstring).
         """
         return cls(
             values=tuple(v for v, _ in pairs),
             weights=tuple(w for _, w in pairs),
-            backend=backend,
         )
 
     def _normalized(self) -> Tuple[float, ...]:

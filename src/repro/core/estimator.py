@@ -35,11 +35,11 @@ from __future__ import annotations
 import collections.abc
 import operator
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping as TMapping, Optional, Sequence, Tuple
 
 from repro.analysis_engine import AnalysisEngine, build_engines
-from repro.backend import ArrayBackend, get_backend
+from repro.backend import BATCH_MIN_ROWS, ArrayBackend, get_backend
 from repro.core.blocking import (
     ActorProfile,
     ResidentVectors,
@@ -84,8 +84,8 @@ class EstimationResult:
         Periods in isolation (the normalization basis of Figure 5).
     waiting_times / response_times:
         Per ``(application, actor)`` expected waiting and response times.
-        The scalar path returns plain dicts keyed processor by
-        processor.  The batched path (vectorized backend) returns lazy
+        The scalar loop returns plain dicts keyed processor by
+        processor.  The batched kernels return lazy
         read-only mappings keyed in use-case order, then
         ``actor_names`` order, that build their dict on first read; they
         compare ``==`` to that dict and pickle, copy and ``dict(...)``
@@ -166,20 +166,20 @@ class ProbabilisticEstimator:
         identical results; the flag exists for parity tests and the
         ablation benches.
     backend:
-        Array backend selection — an
-        :class:`~repro.backend.ArrayBackend`, one of the names
-        ``"auto"``/``"numpy"``/``"python"``, or ``None`` to honor the
-        ``REPRO_BACKEND`` environment variable.  With a vectorized
-        backend, estimates run the batched pipeline: one waiting-kernel
-        evaluation per processor covering every use-case at once, and
-        one :meth:`AnalysisEngine.period_for` call per application —
-        per fixed-point pass, with converged rows frozen and only the
-        still-active rows refined when ``iterations > 1``.  The Python
-        backend (and any configuration the batched pipeline does not
-        cover — the cold path, scalar-only waiting models, fixed-point
-        refinement of models without a row-wise batch kernel) runs
-        today's scalar loops; the two flavours agree to <= 1e-9
-        relative.
+        ``"python"`` (or a :class:`~repro.backend.PythonBackend`)
+        forces the scalar reference loop at any batch size; tests and
+        benchmarks compare against it.  The default (``None``,
+        ``"auto"`` or ``"numpy"``) picks per call: a batch of at least
+        :data:`~repro.backend.BATCH_MIN_ROWS` use-cases runs the
+        batched pipeline when NumPy is importable — one waiting-kernel
+        evaluation per processor covering every use-case, and one
+        :meth:`AnalysisEngine.period_for` call per application, per
+        fixed-point pass, with converged rows frozen when
+        ``iterations > 1`` — and anything smaller runs the scalar loop,
+        which is faster there.  Both give the same bits.  The cold path
+        and waiting models without a batch kernel (or without a
+        row-wise one, for ``iterations > 1``) always run the scalar
+        loop.
     """
 
     def __init__(
@@ -270,7 +270,6 @@ class ProbabilisticEstimator:
                     list(self.graphs.values()),
                     periods=self.isolation_periods,
                     mus=self.mus,
-                    backend=self.backend,
                     priorities=self.priorities,
                 )
             )
@@ -307,10 +306,13 @@ class ProbabilisticEstimator:
         )
 
     # ------------------------------------------------------------------
-    def _can_batch(self, iterations: int) -> bool:
-        """Whether the vectorized pipeline covers this configuration.
+    def _can_batch(self, iterations: int, rows: int) -> bool:
+        """Whether a batch of ``rows`` use-cases runs on the kernels.
 
-        The batched path implements the paper's single-pass algorithm
+        The one dispatch rule: NumPy importable (and not forced off by
+        ``backend="python"``) and at least
+        :data:`~repro.backend.BATCH_MIN_ROWS` rows.  The batched path
+        implements the paper's single-pass algorithm
         (``iterations == 1``) on the incremental engines, and — for
         waiting models whose batch kernels accept per-row probabilities
         (:func:`~repro.core.waiting.supports_rowwise_batch`; all
@@ -318,11 +320,12 @@ class ProbabilisticEstimator:
         convergence mask.  The stateless cold path, waiting models
         without a batch kernel, and fixed-point refinement of
         third-party models with 1-D-only kernels stay on the scalar
-        loops.
+        loop.
         """
         if not (
             self.incremental
             and self.backend.vectorized
+            and rows >= BATCH_MIN_ROWS
             and supports_batch(self.waiting_model)
         ):
             return False
@@ -346,7 +349,7 @@ class ProbabilisticEstimator:
             use_case = UseCase(tuple(self.graphs.keys()))
         if iterations < 1:
             raise AnalysisError("iterations must be >= 1")
-        if self._can_batch(iterations):
+        if self._can_batch(iterations, 1):
             return self._estimate_many_batched(
                 [use_case], iterations=iterations, tolerance=tolerance
             )[0]
@@ -427,17 +430,19 @@ class ProbabilisticEstimator:
         solving.  This is the API behind the experiment runner's sweep
         and the ``repro sweep`` CLI.
 
-        With a vectorized backend the whole batch runs through the
-        array pipeline: one waiting-kernel evaluation per processor
+        A batch of at least :data:`~repro.backend.BATCH_MIN_ROWS`
+        use-cases runs through the array pipeline when NumPy is
+        importable: one waiting-kernel evaluation per processor
         covering every use-case and one
         :meth:`AnalysisEngine.period_for` call per application — per
         fixed-point pass, when ``iterations > 1``, with converged rows
         frozen under a per-row mask so only still-moving rows pay for
-        further refinement.
+        further refinement.  Smaller batches run the scalar loop per
+        use-case.  Both give the same bits.
         """
         if iterations < 1:
             raise AnalysisError("iterations must be >= 1")
-        if self._can_batch(iterations):
+        if self._can_batch(iterations, len(use_cases)):
             return self._estimate_many_batched(
                 list(use_cases),
                 iterations=iterations,
@@ -548,7 +553,7 @@ class ProbabilisticEstimator:
         return waiting, response
 
     # ------------------------------------------------------------------
-    # Vectorized pipeline (NumPy backend, single-pass estimates)
+    # Batched pipeline (NumPy kernels, at least BATCH_MIN_ROWS rows)
     # ------------------------------------------------------------------
     def _batch_structure_for(self) -> "_BatchStructure":
         """Lazy per-estimator arrays describing the contention layout.
@@ -691,7 +696,7 @@ class ProbabilisticEstimator:
         """The array flavour of :meth:`estimate_many`.
 
         Produces the same :class:`EstimationResult` values as the scalar
-        loop (parity <= 1e-9 relative, asserted by the test suite), with
+        loop, bit for bit (asserted by the test suite), with
         ``analysis_seconds`` carrying the *amortized* per-use-case cost
         of the batch.
 

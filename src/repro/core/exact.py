@@ -27,33 +27,25 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.core.approximation import (
+    batched_waiting_series,
+    waiting_time_order_m,
+)
 from repro.core.blocking import ActorProfile, ResidentVectors
-from repro.core.symmetric import elementary_symmetric_all
 
 
 def waiting_time_exact(others: Sequence[ActorProfile]) -> float:
     """Expected waiting time caused by ``others`` sharing the node (Eq. 4).
 
-    Complexity ``O(n^2)`` arithmetic operations with the symmetric-
-    polynomial recurrence (the paper quotes ``O(n.n^n)`` for a naive
-    expansion; the combinatorics are identical).
+    The untruncated series: :func:`waiting_time_order_m` at order ``n``,
+    whose leave-one-out recurrence costs ``O(n^2)`` arithmetic
+    operations (the paper quotes ``O(n.n^n)`` for a naive expansion;
+    the combinatorics are identical).  It is the same arithmetic as the
+    batched kernel's, so both give the same bits.
     """
-    n = len(others)
-    if n == 0:
+    if not others:
         return 0.0
-    total = 0.0
-    for i, own in enumerate(others):
-        other_probabilities = [
-            profile.probability for j, profile in enumerate(others) if j != i
-        ]
-        coefficients = elementary_symmetric_all(other_probabilities)
-        series = 1.0
-        sign = 1.0
-        for j in range(1, n):
-            series += sign * coefficients[j] / (j + 1)
-            sign = -sign
-        total += own.mu * own.probability * series
-    return total
+    return waiting_time_order_m(others, len(others))
 
 
 def waiting_time_enumeration(others: Sequence[ActorProfile]) -> float:
@@ -111,12 +103,5 @@ class ExactWaitingModel:
     def waiting_times_batch(
         self, vectors: ResidentVectors, inc, own_active, xp
     ):
-        """Batched Eq. 4: the untruncated series for every pair.
-
-        Imported lazily for the same reason as in
-        :mod:`repro.core.waiting`: the batched series lives next to the
-        approximation models, which import this module.
-        """
-        from repro.core.approximation import batched_waiting_series
-
+        """Batched Eq. 4: the untruncated series for every pair."""
         return batched_waiting_series(vectors, inc, None, xp)

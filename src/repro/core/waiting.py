@@ -93,7 +93,7 @@ def make_waiting_model(specification: str) -> WaitingModel:
     * ``"second_order"`` / ``"fourth_order"`` — Eq. 5 at m=2 / m=4;
     * ``"order:M"`` — Eq. 5 at any order M >= 1;
     * ``"composability"`` — Eq. 6/7 (direct composition);
-    * ``"composability_incremental"`` — Eq. 6–9 (inverse-based);
+    * ``"composability_incremental"`` — Eq. 6/7 on Eq. 8's domain;
     * ``"priority_preemptive"`` — preemptive static priority, expected
       delay (priorities from the mapping);
     * ``"worst_case"`` — the non-preemptive round-robin WCRT baseline
@@ -199,7 +199,7 @@ _BUILTIN_MODELS = (
     WaitingModelInfo(
         name="composability_incremental",
         factory=lambda: CompositionWaitingModel(incremental=True),
-        summary="Eq. 6-9 composition algebra (inverse-based)",
+        summary="Eq. 6/7 composition algebra, Eq. 8 domain (P < 1)",
         semantics="mean",
         tolerance=_MEAN_TOLERANCE,
         arbiter="fcfs",

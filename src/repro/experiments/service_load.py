@@ -100,7 +100,6 @@ class LoadConfig:
     max_pending: int = 1024
     shed_policy: str = "reject"
     cache_entries: int = 4096
-    backend: Optional[str] = None
     shards: int = 1
     solver_workers: int = 0
     router_batch_window: float = 0.0
@@ -487,9 +486,7 @@ async def _run(config: LoadConfig) -> LoadReport:
         )
         servers.append(
             EstimationServer(
-                pool=EnginePool(
-                    backend=config.backend, registry=shard_registry
-                ),
+                pool=EnginePool(registry=shard_registry),
                 cache=ResultCache(
                     config.cache_entries, registry=shard_registry
                 ),
@@ -497,7 +494,6 @@ async def _run(config: LoadConfig) -> LoadReport:
                 max_batch=config.max_batch,
                 max_pending=config.max_pending,
                 shed_policy=config.shed_policy,
-                backend=config.backend,
                 solver_workers=config.solver_workers,
                 registry=shard_registry,
                 tracer=tracer,
@@ -510,13 +506,12 @@ async def _run(config: LoadConfig) -> LoadReport:
     if config.churn:
         spare_registry = MetricsRegistry(enabled=True)
         spare = EstimationServer(
-            pool=EnginePool(backend=config.backend, registry=spare_registry),
+            pool=EnginePool(registry=spare_registry),
             cache=ResultCache(config.cache_entries, registry=spare_registry),
             batch_window=config.batch_window,
             max_batch=config.max_batch,
             max_pending=config.max_pending,
             shed_policy=config.shed_policy,
-            backend=config.backend,
             solver_workers=config.solver_workers,
             registry=spare_registry,
             tracer=tracer,
@@ -680,7 +675,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         choices=("reject", "evict", "downgrade"),
         default="reject",
     )
-    parser.add_argument("--backend", choices=("auto", "numpy", "python"), default=None)
     parser.add_argument(
         "--shards",
         type=int,
@@ -799,7 +793,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             batch_window=arguments.batch_window / 1e3,
             cache_entries=arguments.cache_size,
             shed_policy=arguments.shed_policy,
-            backend=arguments.backend,
             shards=arguments.shards,
             solver_workers=arguments.workers,
             router_batch_window=arguments.router_batch_window / 1e3,

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.backend import get_backend
 from repro.core.registry import validate_model_spec
 from repro.exceptions import ResourceManagerError
 from repro.experiments.setup import (
@@ -272,19 +271,12 @@ class SweepService:
         :class:`~repro.service.workers.SolverPool` with one strided
         chunk per process; :attr:`SweepOutcome.jobs` reports the
         processes that ran (1 inline).
-    backend:
-        Array backend selection forwarded to every estimator the
-        service builds — in-process and in worker processes alike
-        (``repro sweep --backend`` ends up here).  Accepts the same
-        values as :func:`repro.backend.get_backend`; instances are
-        reduced to their name so the choice survives pickling.
     """
 
     def __init__(
         self,
         store: Optional[ResultStore] = None,
         jobs: int = 1,
-        backend: Optional[object] = None,
     ) -> None:
         if jobs < 1:
             raise ResourceManagerError(
@@ -292,11 +284,6 @@ class SweepService:
             )
         self.store = store
         self.jobs = jobs
-        # Resolve eagerly so a bad name fails in the caller, not in a
-        # worker; remember the *name* (picklable, env-independent).
-        self.backend: Optional[str] = (
-            get_backend(backend).name if backend is not None else None
-        )
         registry = get_registry()
         self._tracer = get_tracer()
         self._metric_hits = registry.counter(
@@ -422,11 +409,9 @@ class SweepService:
         # exactly that many strided chunks, ``queries[i::processes]``.
         processes = min(self.jobs, len(queries), os.cpu_count() or 1)
         if processes == 1:
-            pool = EnginePool(backend=self.backend)
+            pool = EnginePool()
             return pool.solve(queries, fixed_point_iterations), 1
-        workers = SolverPool(
-            workers=processes, backend=self.backend, split_threshold=1
-        )
+        workers = SolverPool(workers=processes, split_threshold=1)
         try:
             payloads = asyncio.run(
                 workers.solve(queries, fixed_point_iterations)

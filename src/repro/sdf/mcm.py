@@ -520,12 +520,11 @@ class IncrementalMCRSolver:
         and the Howard method, candidates from remembered critical
         cycles are certified in batch (see the module docstring) and
         only uncertified rows pay a scalar warm-started solve; without
-        ``xp`` — the pure-Python backend — every row runs the ordinary
-        scalar path.  Either way each row's answer is the canonical
-        ratio of its critical cycle, computed with the same additions
-        as :meth:`solve`, so it equals a fresh solver's ``solve(row)``
-        bit for bit whatever the batch around it (see the module
-        docstring for the near-tie caveat).
+        ``xp`` every row runs the ordinary scalar path.  Either way each
+        row's answer is the canonical ratio of its critical cycle,
+        computed with the same additions as :meth:`solve`, so it equals
+        a fresh solver's ``solve(row)`` bit for bit whatever the batch
+        around it (see the module docstring for the near-tie caveat).
 
         Returns plain Python floats in row order.
         """

@@ -17,10 +17,11 @@ whole search:
   semantics) — producing one full per-actor response-time vector per
   application;
 * then **one** :meth:`~repro.analysis_engine.AnalysisEngine.period_for`
-  call per application covers *every candidate in the batch*: with a
-  vectorized backend that is the ``solve_many`` batched-certification
-  fast path; without one it falls back to memoized scalar solves,
-  preserving the arithmetic bit for bit.
+  call per application covers *every candidate in the batch*: a batch of
+  at least :data:`~repro.backend.BATCH_MIN_ROWS` candidates takes the
+  ``solve_many`` batched-certification fast path when NumPy is
+  importable; a smaller one runs memoized scalar solves, which give the
+  same bits.
 
 Feasibility and ranking reuse :func:`~repro.search.feasibility.
 check_feasibility` and :func:`~repro.search.objective.rank_key`, so the
@@ -86,9 +87,6 @@ class CandidateEvaluator:
         Period-analysis method of the shared engines.
     engines:
         Pre-built shared engines (built on demand when omitted).
-    backend:
-        Forwarded to :meth:`AnalysisEngine.period_for`; a vectorized
-        backend batches the candidate solves through ``solve_many``.
     """
 
     def __init__(
@@ -98,7 +96,6 @@ class CandidateEvaluator:
         constraint: Optional[Constraint] = None,
         method: AnalysisMethod = AnalysisMethod.MCR,
         engines: Optional[Dict[str, AnalysisEngine]] = None,
-        backend: Optional[object] = None,
     ) -> None:
         self.space = space
         self.objective = objective if objective is not None else Objective()
@@ -106,7 +103,6 @@ class CandidateEvaluator:
             constraint if constraint is not None else Constraint()
         )
         self.method = method
-        self.backend = backend
         self.engines = (
             engines
             if engines is not None
@@ -223,9 +219,7 @@ class CandidateEvaluator:
             # The batched fast path: one period_for call per
             # application spans the whole candidate batch.
             periods_by_app = {
-                name: self.engines[name].period_for(
-                    vectors, backend=self.backend
-                )
+                name: self.engines[name].period_for(vectors)
                 for name, vectors in rows.items()
             }
         self._metric_candidates.inc(len(candidates))

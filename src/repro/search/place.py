@@ -67,7 +67,6 @@ def place(
     weight_choices: Optional[Sequence[int]] = DEFAULT_WEIGHT_CHOICES,
     priority_levels: Optional[Sequence[float]] = None,
     engines: Optional[Dict[str, AnalysisEngine]] = None,
-    backend: Optional[object] = None,
     options: Optional[StrategyOptions] = None,
 ) -> PlacementResult:
     """Search the placement space of ``graphs`` for the best feasible
@@ -97,9 +96,8 @@ def place(
         same space ⇒ byte-identical result JSON.
     mappings / weight_choices / priority_levels:
         The space's axes (see :class:`SearchSpace`).
-    engines / backend:
-        Shared analysis engines and array backend for the batched
-        evaluator.
+    engines:
+        Shared analysis engines for the batched evaluator.
     options:
         Extra strategy knobs; ``seed`` here overrides the option's.
     """
@@ -130,7 +128,6 @@ def place(
         constraint=constraint,
         method=method,
         engines=engines,
-        backend=backend,
     )
     if options is None:
         options = StrategyOptions(seed=seed)

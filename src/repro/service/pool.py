@@ -63,21 +63,16 @@ class EnginePool:
         How many galleries stay warm at once; the least recently used
         entry (suite, engines and estimators together) is dropped when
         a new recipe would exceed the bound.
-    backend:
-        Array-backend selection forwarded to every estimator built by
-        the pool (same values as :func:`repro.backend.get_backend`).
     """
 
     def __init__(
         self,
         max_galleries: int = 8,
-        backend: Optional[object] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         if max_galleries < 1:
             raise ServiceError(f"max_galleries must be >= 1, got {max_galleries}")
         self.max_galleries = max_galleries
-        self.backend = backend
         self.stats = PoolStats()
         self._galleries: "OrderedDict[str, _GalleryEntry]" = OrderedDict()
         registry = registry if registry is not None else get_registry()
@@ -141,7 +136,6 @@ class EnginePool:
                 waiting_model=model,
                 analysis_method=method,
                 engines=engines,
-                backend=self.backend,
             )
             self.stats.estimator_builds += 1
             self._metric_estimators.inc()

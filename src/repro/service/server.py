@@ -10,12 +10,13 @@ arrivals pile up into the next —
 groups it by ``(gallery, model, method)``, deduplicates identical
 questions, and feeds each group to
 :meth:`~repro.core.estimator.ProbabilisticEstimator.estimate_many` on
-the warm :class:`~repro.service.pool.EnginePool` estimators.  With a
-vectorized backend that is the PR-3 array pipeline — one waiting-kernel
-evaluation per processor and one
+the warm :class:`~repro.service.pool.EnginePool` estimators.  A group
+of at least :data:`~repro.backend.BATCH_MIN_ROWS` queries runs the
+array pipeline — one waiting-kernel evaluation per processor and one
 :meth:`~repro.analysis_engine.AnalysisEngine.period_for` call per
 application for the *whole batch* — so N concurrent clients cost about
-one batched solve instead of N scalar ones.
+one batched solve instead of N scalar ones; a smaller group runs the
+scalar loop, which is faster there.
 
 On top of the batcher sit:
 
@@ -42,7 +43,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.backend import get_backend
 from repro.exceptions import ServiceError
 from repro.runtime.manager import (
     DowngradePolicy,
@@ -297,13 +297,11 @@ class EstimationServer(JsonLinesEndpoint):
         ``reject``, ``evict`` or ``downgrade``/``downgrade-greedy``.
     degraded_model:
         Waiting model served under ``downgrade`` shedding.
-    backend:
-        Array-backend selection for the pool's estimators.
     fixed_point_iterations:
         Fixed-point refinement passes every solve runs (the
         ``estimate_many`` knob).  A server-wide setting — it shapes
-        every answer the server may cache, so it is configuration like
-        the backend, not a per-query field.  On vectorized backends
+        every answer the server may cache, so it is server
+        configuration, not a per-query field.  On the batched pipeline
         refinement iterates the whole micro-batch with a per-row
         convergence mask, so the batching payoff survives
         ``iterations > 1``.
@@ -329,7 +327,6 @@ class EstimationServer(JsonLinesEndpoint):
         max_pending: int = 1024,
         shed_policy: "QoSPolicy | str" = "reject",
         degraded_model: str = DEFAULT_DEGRADED_MODEL,
-        backend: Optional[object] = None,
         fixed_point_iterations: int = 1,
         solver_workers: int = 0,
         split_threshold: int = DEFAULT_SPLIT_THRESHOLD,
@@ -380,7 +377,7 @@ class EstimationServer(JsonLinesEndpoint):
         self.pool = (
             pool
             if pool is not None
-            else EnginePool(backend=backend, registry=self.registry)
+            else EnginePool(registry=self.registry)
         )
         self.cache = (
             cache if cache is not None else ResultCache(registry=self.registry)
@@ -393,12 +390,6 @@ class EstimationServer(JsonLinesEndpoint):
         self.fixed_point_iterations = fixed_point_iterations
         self.solver_workers = solver_workers
         self.split_threshold = split_threshold
-        # Worker processes need the backend *name* (names pickle,
-        # instances need not); resolve eagerly so a bad name fails in
-        # the constructor, not inside a worker.
-        self._backend_name: Optional[str] = (
-            get_backend(backend).name if backend is not None else None
-        )
         self._metric_place = self.registry.counter(
             "repro_service_place_requests_total",
             "Placement searches served",
@@ -423,7 +414,6 @@ class EstimationServer(JsonLinesEndpoint):
                 # stats may read it loop-side directly.
                 self._workers = SolverPool(
                     self.solver_workers,
-                    backend=self._backend_name,
                     max_galleries=self.pool.max_galleries,
                     split_threshold=self.split_threshold,
                     registry=self.registry,

@@ -57,17 +57,13 @@ _WORKER_POOL = None
 _WORKER_INDEX: int = -1
 
 
-def _init_worker(
-    index: int, backend: Optional[str], max_galleries: int
-) -> None:
+def _init_worker(index: int, max_galleries: int) -> None:
     """Process initializer: build this worker's warm engine pool."""
     global _WORKER_POOL, _WORKER_INDEX
     from repro.service.pool import EnginePool
 
     _WORKER_INDEX = index
-    _WORKER_POOL = EnginePool(
-        max_galleries=max_galleries, backend=backend
-    )
+    _WORKER_POOL = EnginePool(max_galleries=max_galleries)
 
 
 def _worker_solve(queries: List[Query], iterations: int) -> List[Dict[str, object]]:
@@ -94,9 +90,6 @@ class SolverPool:
         Worker process count; capped at ``os.cpu_count()`` — more
         processes than cores only adds context-switching to a
         CPU-bound solver.
-    backend:
-        Array-backend *name* forwarded to every worker's estimators
-        (names pickle; instances need not).
     max_galleries:
         Per-worker engine-pool LRU bound.
     split_threshold:
@@ -106,7 +99,6 @@ class SolverPool:
     def __init__(
         self,
         workers: int,
-        backend: Optional[str] = None,
         max_galleries: int = 8,
         split_threshold: int = DEFAULT_SPLIT_THRESHOLD,
         registry: Optional[MetricsRegistry] = None,
@@ -119,7 +111,6 @@ class SolverPool:
                 f"split_threshold must be >= 1, got {split_threshold}"
             )
         self.workers = min(workers, os.cpu_count() or 1)
-        self.backend = backend
         self.max_galleries = max_galleries
         self.split_threshold = split_threshold
         self.tracer = tracer if tracer is not None else Tracer()
@@ -168,7 +159,7 @@ class SolverPool:
             executor = ProcessPoolExecutor(
                 max_workers=1,
                 initializer=_init_worker,
-                initargs=(slot, self.backend, self.max_galleries),
+                initargs=(slot, self.max_galleries),
             )
             self._executors[slot] = executor
         return executor

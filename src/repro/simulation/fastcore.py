@@ -411,267 +411,270 @@ def run_fast(sim: "Simulator") -> SimulationResult:
     # Event times are finite, so an infinite sentinel makes the horizon
     # check branch-free when no horizon is configured.
     horizon_f = inf if horizon is None else horizon
-    while heap:
-        now, seq = hpop(heap)
-        if now > horizon_f:
-            broke = True
-            break
-        while True:
-            events += 1
-            if events > max_events:
-                raise AnalysisError(
-                    f"simulation exceeded {max_events} events; "
-                    "lower target_iterations or set a horizon"
-                )
-            aid = ev_actor[seq]
-            if preemptive and ev_gen[seq] != generation[aid]:
-                stale += 1
-            else:
-                end_time = now
-                state[aid] = 0
-                p = proc_of[aid]
-                busy[p] = False
-                running[p] = -1
-                f = fires[aid] + 1
-                fires[aid] = f
-                if not f % quota[aid]:
-                    it = iters[aid] + 1
-                    iters[aid] = it
-                    ai = app_of[aid]
-                    if it - 1 == app_min[ai]:
-                        c = app_at_min[ai] - 1
-                        if c:
-                            app_at_min[ai] = c
-                        else:
-                            app_min[ai] = it
-                            completion_times[ai].append(now)
-                            c = 0
-                            for a2 in app_actors[ai]:
-                                if iters[a2] == it:
-                                    c += 1
-                            app_at_min[ai] = c
-                            if (
-                                target is not None
-                                and not done[ai]
-                                and it >= target
-                            ):
-                                done[ai] = True
-                                apps_left -= 1
-                                if not apps_left:
-                                    stop = True
+    try:
+        while heap:
+            now, seq = hpop(heap)
+            if now > horizon_f:
+                broke = True
+                break
+            while True:
+                events += 1
+                if events > max_events:
+                    raise AnalysisError(
+                        f"simulation exceeded {max_events} events; "
+                        "lower target_iterations or set a horizon"
+                    )
+                aid = ev_actor[seq]
+                if preemptive and ev_gen[seq] != generation[aid]:
+                    stale += 1
+                else:
+                    end_time = now
+                    state[aid] = 0
+                    p = proc_of[aid]
+                    busy[p] = False
+                    running[p] = -1
+                    f = fires[aid] + 1
+                    fires[aid] = f
+                    if not f % quota[aid]:
+                        it = iters[aid] + 1
+                        iters[aid] = it
+                        ai = app_of[aid]
+                        if it - 1 == app_min[ai]:
+                            c = app_at_min[ai] - 1
+                            if c:
+                                app_at_min[ai] = c
+                            else:
+                                app_min[ai] = it
+                                completion_times[ai].append(now)
+                                c = 0
+                                for a2 in app_actors[ai]:
+                                    if iters[a2] == it:
+                                        c += 1
+                                app_at_min[ai] = c
+                                if (
+                                    target is not None
+                                    and not done[ai]
+                                    and it >= target
+                                ):
+                                    done[ai] = True
+                                    apps_left -= 1
+                                    if not apps_left:
+                                        stop = True
+                                        break
+                    # Token production + requests; enqueue is inlined per
+                    # policy — keep in lockstep with the closure above.
+                    touched = set()
+                    for cid, prod, dst in out_trip[aid]:
+                        tokens[cid] += prod
+                        if not state[dst]:
+                            ok = True
+                            for cid2, cons in in_pairs[dst]:
+                                if tokens[cid2] < cons:
+                                    ok = False
                                     break
-                # Token production + requests; enqueue is inlined per
-                # policy — keep in lockstep with the closure above.
-                touched = set()
-                for cid, prod, dst in out_trip[aid]:
-                    tokens[cid] += prod
-                    if not state[dst]:
+                            if ok:
+                                state[dst] = 1
+                                request_time[dst] = now
+                                p2 = proc_of[dst]
+                                touched.add(p2)
+                                if policy == 0:
+                                    q = queues[p2]
+                                    entry = (now, dst)
+                                    lo = len(q)
+                                    while lo > 0 and q[lo - 1] > entry:
+                                        lo -= 1
+                                    q.insert(lo, entry)
+                                elif policy == GENERIC:
+                                    arb = arbiters[p2]
+                                    arb.enqueue(dst, now)
+                                    if (
+                                        arb.preemptive
+                                        and busy[p2]
+                                        and arb.preempts(running[p2])
+                                    ):
+                                        do_preempt(p2, now)
+                                elif policy == 3:
+                                    q = queues[p2]
+                                    entry = (negp[dst], rank_of[dst], dst)
+                                    lo = len(q)
+                                    while lo > 0 and q[lo - 1] > entry:
+                                        lo -= 1
+                                    q.insert(lo, entry)
+                                elif policy == 4:
+                                    q = queues[p2]
+                                    entry = (negp[dst], now, dst)
+                                    lo = len(q)
+                                    while lo > 0 and q[lo - 1] > entry:
+                                        lo -= 1
+                                    q.insert(lo, entry)
+                                    if busy[p2] and q[0][0] < negp[running[p2]]:
+                                        do_preempt(p2, now)
+                                elif not in_q[dst]:
+                                    in_q[dst] = True
+                                    qcount[p2] += 1
+                    if not state[aid]:
                         ok = True
-                        for cid2, cons in in_pairs[dst]:
+                        for cid2, cons in in_pairs[aid]:
                             if tokens[cid2] < cons:
                                 ok = False
                                 break
                         if ok:
-                            state[dst] = 1
-                            request_time[dst] = now
-                            p2 = proc_of[dst]
-                            touched.add(p2)
+                            state[aid] = 1
+                            request_time[aid] = now
+                            touched.add(p)
                             if policy == 0:
-                                q = queues[p2]
-                                entry = (now, dst)
+                                q = queues[p]
+                                entry = (now, aid)
                                 lo = len(q)
                                 while lo > 0 and q[lo - 1] > entry:
                                     lo -= 1
                                 q.insert(lo, entry)
                             elif policy == GENERIC:
-                                arb = arbiters[p2]
-                                arb.enqueue(dst, now)
+                                arb = arbiters[p]
+                                arb.enqueue(aid, now)
                                 if (
                                     arb.preemptive
-                                    and busy[p2]
-                                    and arb.preempts(running[p2])
+                                    and busy[p]
+                                    and arb.preempts(running[p])
                                 ):
-                                    do_preempt(p2, now)
+                                    do_preempt(p, now)
                             elif policy == 3:
-                                q = queues[p2]
-                                entry = (negp[dst], rank_of[dst], dst)
+                                q = queues[p]
+                                entry = (negp[aid], rank_of[aid], aid)
                                 lo = len(q)
                                 while lo > 0 and q[lo - 1] > entry:
                                     lo -= 1
                                 q.insert(lo, entry)
                             elif policy == 4:
-                                q = queues[p2]
-                                entry = (negp[dst], now, dst)
+                                q = queues[p]
+                                entry = (negp[aid], now, aid)
                                 lo = len(q)
                                 while lo > 0 and q[lo - 1] > entry:
                                     lo -= 1
                                 q.insert(lo, entry)
-                                if busy[p2] and q[0][0] < negp[running[p2]]:
-                                    do_preempt(p2, now)
-                            elif not in_q[dst]:
-                                in_q[dst] = True
-                                qcount[p2] += 1
-                if not state[aid]:
-                    ok = True
-                    for cid2, cons in in_pairs[aid]:
-                        if tokens[cid2] < cons:
-                            ok = False
-                            break
-                    if ok:
-                        state[aid] = 1
-                        request_time[aid] = now
-                        touched.add(p)
+                                if busy[p] and q[0][0] < negp[running[p]]:
+                                    do_preempt(p, now)
+                            elif not in_q[aid]:
+                                in_q[aid] = True
+                                qcount[p] += 1
+                    touched.add(p)
+                    # Inlined start_next (hot path) — keep in lockstep with
+                    # the closure above.
+                    for tp in touched:
+                        if busy[tp]:
+                            continue
                         if policy == 0:
-                            q = queues[p]
-                            entry = (now, aid)
-                            lo = len(q)
-                            while lo > 0 and q[lo - 1] > entry:
-                                lo -= 1
-                            q.insert(lo, entry)
+                            q = queues[tp]
+                            if not q:
+                                continue
+                            aid2 = q.pop(0)[1]
                         elif policy == GENERIC:
-                            arb = arbiters[p]
-                            arb.enqueue(aid, now)
-                            if (
-                                arb.preemptive
-                                and busy[p]
-                                and arb.preempts(running[p])
-                            ):
-                                do_preempt(p, now)
-                        elif policy == 3:
-                            q = queues[p]
-                            entry = (negp[aid], rank_of[aid], aid)
-                            lo = len(q)
-                            while lo > 0 and q[lo - 1] > entry:
-                                lo -= 1
-                            q.insert(lo, entry)
-                        elif policy == 4:
-                            q = queues[p]
-                            entry = (negp[aid], now, aid)
-                            lo = len(q)
-                            while lo > 0 and q[lo - 1] > entry:
-                                lo -= 1
-                            q.insert(lo, entry)
-                            if busy[p] and q[0][0] < negp[running[p]]:
-                                do_preempt(p, now)
-                        elif not in_q[aid]:
-                            in_q[aid] = True
-                            qcount[p] += 1
-                touched.add(p)
-                # Inlined start_next (hot path) — keep in lockstep with
-                # the closure above.
-                for tp in touched:
-                    if busy[tp]:
-                        continue
-                    if policy == 0:
-                        q = queues[tp]
-                        if not q:
+                            aid2 = arbiters[tp].pick()
+                            if aid2 is None:
+                                continue
+                        elif policy > 2:
+                            q = queues[tp]
+                            if not q:
+                                continue
+                            aid2 = q.pop(0)[2]
+                        elif not qcount[tp]:
                             continue
-                        aid2 = q.pop(0)[1]
-                    elif policy == GENERIC:
-                        aid2 = arbiters[tp].pick()
-                        if aid2 is None:
-                            continue
-                    elif policy > 2:
-                        q = queues[tp]
-                        if not q:
-                            continue
-                        aid2 = q.pop(0)[2]
-                    elif not qcount[tp]:
-                        continue
-                    elif policy == 1:
-                        # qcount > 0 guarantees the rotation scan finds a
-                        # queued member, so the walk needs no bound.
-                        ms = members[tp]
-                        nm = len(ms)
-                        idx = position[tp]
-                        while True:
-                            aid2 = ms[idx]
-                            idx += 1
-                            if idx >= nm:
-                                idx = 0
-                            if in_q[aid2]:
-                                in_q[aid2] = False
-                                qcount[tp] -= 1
-                                position[tp] = idx
-                                break
-                    else:
-                        ms = members[tp]
-                        nm = len(ms)
-                        pos = position[tp]
-                        cr = credit[tp]
-                        while True:
-                            aid2 = ms[pos]
-                            if cr > 0 and in_q[aid2]:
-                                in_q[aid2] = False
-                                qcount[tp] -= 1
-                                cr -= 1
-                                if cr == 0:
-                                    pos += 1
-                                    if pos >= nm:
-                                        pos = 0
-                                    cr = weight_of[ms[pos]]
-                                position[tp] = pos
-                                credit[tp] = cr
-                                break
-                            pos += 1
-                            if pos >= nm:
-                                pos = 0
-                            cr = weight_of[ms[pos]]
-                    state[aid2] = 2
-                    busy[tp] = True
-                    running[tp] = aid2
-                    waited = now - request_time[aid2]
-                    waiting_total[aid2] += waited
-                    if waited > waiting_max[aid2]:
-                        waiting_max[aid2] = waited
-                    if preemptive and remaining[aid2] is not None:
-                        duration = remaining[aid2]
-                        remaining[aid2] = None
-                    else:
-                        waiting_count[aid2] += 1
-                        for cid2, cons in in_pairs[aid2]:
-                            tokens[cid2] -= cons
-                        if default_time:
-                            duration = tau[aid2]
+                        elif policy == 1:
+                            # qcount > 0 guarantees the rotation scan finds a
+                            # queued member, so the walk needs no bound.
+                            ms = members[tp]
+                            nm = len(ms)
+                            idx = position[tp]
+                            while True:
+                                aid2 = ms[idx]
+                                idx += 1
+                                if idx >= nm:
+                                    idx = 0
+                                if in_q[aid2]:
+                                    in_q[aid2] = False
+                                    qcount[tp] -= 1
+                                    position[tp] = idx
+                                    break
                         else:
-                            duration = sample(
-                                app_str[aid2], name_of[aid2], tau[aid2], rng
-                            )
-                        if not 0.0 < duration < inf:
-                            raise duration_error(
-                                duration, app_str[aid2], name_of[aid2]
-                            )
-                    end = now + duration
-                    busy_time[tp] += duration
-                    if preemptive:
-                        scheduled_end[aid2] = end
-                    seq2 = len(ev_actor)
-                    ev_append(aid2)
-                    if preemptive:
-                        gen_append(generation[aid2])
-                    hpush(heap, (end, seq2))
-                    if record:
-                        trace_slot[aid2] = len(tr_aid)
-                        tr_aid_append(aid2)
-                        tr_start_append(now)
-                        tr_end_append(end)
-            if heap and heap[0][0] == now:
-                seq = hpop(heap)[1]
-                continue
-            break
-        if stop:
-            broke = True
-            break
-    # The reference loop streams every firing into the per-application
-    # IterationTrackers; the fast loop counts in flat arrays instead, so
-    # rebuild the trackers' observable state before any late error can
-    # surface — callers (and tests) inspect ``sim._trackers`` after
-    # deadlocked or horizon-cut runs too.
-    for ai in range(n_apps):
-        tracker = sim._trackers[apps[ai]]
-        for aid in app_actors[ai]:
-            tracker._fires[name_of[aid]] = fires[aid]
-        tracker.completion_times = list(completion_times[ai])
+                            ms = members[tp]
+                            nm = len(ms)
+                            pos = position[tp]
+                            cr = credit[tp]
+                            while True:
+                                aid2 = ms[pos]
+                                if cr > 0 and in_q[aid2]:
+                                    in_q[aid2] = False
+                                    qcount[tp] -= 1
+                                    cr -= 1
+                                    if cr == 0:
+                                        pos += 1
+                                        if pos >= nm:
+                                            pos = 0
+                                        cr = weight_of[ms[pos]]
+                                    position[tp] = pos
+                                    credit[tp] = cr
+                                    break
+                                pos += 1
+                                if pos >= nm:
+                                    pos = 0
+                                cr = weight_of[ms[pos]]
+                        state[aid2] = 2
+                        busy[tp] = True
+                        running[tp] = aid2
+                        waited = now - request_time[aid2]
+                        waiting_total[aid2] += waited
+                        if waited > waiting_max[aid2]:
+                            waiting_max[aid2] = waited
+                        if preemptive and remaining[aid2] is not None:
+                            duration = remaining[aid2]
+                            remaining[aid2] = None
+                        else:
+                            waiting_count[aid2] += 1
+                            for cid2, cons in in_pairs[aid2]:
+                                tokens[cid2] -= cons
+                            if default_time:
+                                duration = tau[aid2]
+                            else:
+                                duration = sample(
+                                    app_str[aid2], name_of[aid2], tau[aid2], rng
+                                )
+                            if not 0.0 < duration < inf:
+                                raise duration_error(
+                                    duration, app_str[aid2], name_of[aid2]
+                                )
+                        end = now + duration
+                        busy_time[tp] += duration
+                        if preemptive:
+                            scheduled_end[aid2] = end
+                        seq2 = len(ev_actor)
+                        ev_append(aid2)
+                        if preemptive:
+                            gen_append(generation[aid2])
+                        hpush(heap, (end, seq2))
+                        if record:
+                            trace_slot[aid2] = len(tr_aid)
+                            tr_aid_append(aid2)
+                            tr_start_append(now)
+                            tr_end_append(end)
+                if heap and heap[0][0] == now:
+                    seq = hpop(heap)[1]
+                    continue
+                break
+            if stop:
+                broke = True
+                break
+    finally:
+        # The reference loop streams every firing into the
+        # per-application IterationTrackers; the fast loop counts in flat
+        # arrays instead, so rebuild the trackers' observable state
+        # however the loop ends — callers (and tests) inspect
+        # ``sim._trackers`` after deadlocked, horizon-cut or aborted runs
+        # too.
+        for ai in range(n_apps):
+            tracker = sim._trackers[apps[ai]]
+            for aid in app_actors[ai]:
+                tracker._fires[name_of[aid]] = fires[aid]
+            tracker.completion_times = list(completion_times[ai])
 
     if not broke and target is not None and apps_left:
         stuck = [apps[ai] for ai in range(n_apps) if not done[ai]]

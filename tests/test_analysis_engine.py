@@ -181,7 +181,7 @@ class TestEngineBehaviour:
     def test_non_finite_response_times_rejected(self, gallery, bad):
         """NaN and infinite times raise GraphError on every path and
         never reach a memo, so a later good query still solves."""
-        from repro.backend import numpy_available
+        from repro.backend import BATCH_MIN_ROWS, numpy_available
         from repro.exceptions import GraphError
 
         graphs, _, _ = gallery
@@ -197,7 +197,9 @@ class TestEngineBehaviour:
                 engine.period({first_actor: bad})
             for backend in backends:
                 with pytest.raises(GraphError, match=message):
-                    engine.period_for([bad_row, base], backend)
+                    engine.period_for(
+                        [bad_row] + [base] * BATCH_MIN_ROWS, backend
+                    )
             assert engine.stats.solves == 0
             assert engine.period_for([base], backends[-1]) == [
                 engine.period()
@@ -207,13 +209,14 @@ class TestEngineBehaviour:
 
     def test_first_bad_row_is_reported(self, gallery):
         """With several bad rows the batch names the first one."""
-        from repro.backend import numpy_available
+        from repro.backend import BATCH_MIN_ROWS, numpy_available
         from repro.exceptions import GraphError
 
         graphs, _, _ = gallery
         graph = graphs[0]
         base = [graph.execution_time(name) for name in graph.actor_names]
         rows = [base, [base[0], float("nan")] + base[2:], [-1.0] + base[1:]]
+        rows += [base] * BATCH_MIN_ROWS
         backends = ["python"] + (["numpy"] if numpy_available() else [])
         for backend in backends:
             engine = AnalysisEngine(graph)

@@ -1,10 +1,10 @@
 """Unit tests for the array-backend layer itself.
 
 Parity of whole estimates lives in ``test_backend_parity.py``; this
-file covers the building blocks — backend selection, the batched
+file covers the building blocks — backend resolution, the batched
 symmetric-polynomial/waiting kernels against their scalar references,
-``IncrementalMCRSolver.solve_many``, ``AnalysisEngine.period_for``, and
-the ``DiscreteTime`` weight validation fix.
+``IncrementalMCRSolver.solve_many``, ``AnalysisEngine.period_for`` and
+its row-count dispatch, and the ``DiscreteTime`` weight validation fix.
 """
 
 from __future__ import annotations
@@ -15,17 +15,12 @@ import pytest
 
 from repro.analysis_engine import AnalysisEngine
 from repro.backend import (
-    BACKEND_ENV_VAR,
-    NumpyBackend,
+    BATCH_MIN_ROWS,
     PythonBackend,
     get_backend,
     numpy_available,
 )
-from repro.core.blocking import (
-    blocking_probabilities_batch,
-    build_profile,
-    resident_vectors,
-)
+from repro.core.blocking import build_profile, resident_vectors
 from repro.core.distributions import DiscreteTime
 from repro.core.exact import ExactWaitingModel
 from repro.core.symmetric import (
@@ -56,29 +51,10 @@ class TestBackendSelection:
         backend = PythonBackend()
         assert get_backend(backend) is backend
 
-    def test_environment_variable_selects(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "python")
-        assert get_backend(None).name == "python"
-        monkeypatch.delenv(BACKEND_ENV_VAR)
-        assert get_backend(None).name in ("numpy", "python")
-
-    @needs_numpy
-    def test_numpy_backend_reductions_match_python(self):
-        values = (3.0, 5.0, 11.0)
-        weights = (0.25, 0.5, 0.25)
-        scalar = PythonBackend()
-        vector = NumpyBackend()
-        assert vector.dot(values, weights) == pytest.approx(
-            scalar.dot(values, weights), rel=1e-12
-        )
-        assert vector.weighted_second_moment(
-            values, weights
-        ) == pytest.approx(
-            scalar.weighted_second_moment(values, weights), rel=1e-12
-        )
-        assert vector.sum(values) == pytest.approx(
-            scalar.sum(values), rel=1e-12
-        )
+    def test_default_is_numpy_exactly_when_importable(self):
+        expected = "numpy" if numpy_available() else "python"
+        assert get_backend(None).name == expected
+        assert get_backend("auto").name == expected
 
     def test_all_builtin_models_support_batching(self):
         for name in (
@@ -159,25 +135,9 @@ class TestBatchedKernels:
                     for i in range(5)
                     if i != own and active[row, i]
                 ]
-                assert batch[row, own] == pytest.approx(
-                    model.waiting_time(profiles[own], others),
-                    rel=1e-12,
-                    abs=1e-12,
+                assert batch[row, own] == model.waiting_time(
+                    profiles[own], others
                 )
-
-    def test_blocking_probabilities_batch_validates(self):
-        import numpy as np
-
-        taus = np.asarray([10.0, 20.0])
-        repetitions = np.asarray([1.0, 1.0])
-        result = blocking_probabilities_batch(
-            taus, repetitions, 100.0, np
-        )
-        assert result.tolist() == [0.1, 0.2]
-        with pytest.raises(AnalysisError, match="period must be positive"):
-            blocking_probabilities_batch(taus, repetitions, 0.0, np)
-        with pytest.raises(AnalysisError, match="exceeds 1"):
-            blocking_probabilities_batch(taus, repetitions, 15.0, np)
 
 
 @needs_numpy
@@ -278,6 +238,9 @@ class TestPeriodFor:
             [10.0, 20.0, 15.0],
             [12.0, 25.0, 15.5],
             [10.0, 20.0, 15.0],  # repeat: must come from the memo
+        ] + [
+            [11.0 + row, 21.0, 14.0 + row / 4]
+            for row in range(BATCH_MIN_ROWS - 3)
         ]
         for backend in (
             ("python",)
@@ -289,10 +252,24 @@ class TestPeriodFor:
                 expected = scalar_engine.period(
                     dict(zip(names, vector))
                 )
-                assert periods[row] == pytest.approx(
-                    expected, rel=1e-9
-                )
+                assert periods[row] == expected
             assert all(type(p) is float for p in periods)
+
+    @needs_numpy
+    def test_row_count_picks_the_path(self, graph):
+        """Fewer than BATCH_MIN_ROWS rows solve one by one into the
+        scalar memo; enough rows are certified into the batch memo."""
+        vectors = [
+            [10.0 + row, 20.0, 15.0] for row in range(BATCH_MIN_ROWS)
+        ]
+        for rows, batched in (
+            (BATCH_MIN_ROWS - 1, False),
+            (BATCH_MIN_ROWS, True),
+        ):
+            engine = AnalysisEngine(graph)
+            engine.period_for(vectors[:rows])
+            assert bool(engine._batch_cache) is batched
+            assert bool(engine._cache) is not batched
 
     @needs_numpy
     def test_batched_queries_never_pollute_the_scalar_memo(self, graph):
@@ -308,7 +285,10 @@ class TestPeriodFor:
         names = graph.actor_names
         seed_vector = [10.0, 20.0, 15.0]
         certified_vector = [11.5, 23.0, 16.5]
-        engine.period_for([seed_vector, certified_vector], "numpy")
+        engine.period_for(
+            [seed_vector] + [certified_vector] * (BATCH_MIN_ROWS - 1),
+            "numpy",
+        )
         for vector in (seed_vector, certified_vector):
             assert engine.period(
                 dict(zip(names, vector))
@@ -318,13 +298,15 @@ class TestPeriodFor:
     def test_rejects_non_positive_times(self, graph):
         engine = AnalysisEngine(graph)
         with pytest.raises(GraphError, match="must be positive"):
-            engine.period_for([[10.0, -1.0, 15.0]], "numpy")
+            engine.period_for(
+                [[10.0, -1.0, 15.0]] * BATCH_MIN_ROWS, "numpy"
+            )
 
     @needs_numpy
     def test_rejects_wrong_width(self, graph):
         engine = AnalysisEngine(graph)
         with pytest.raises(AnalysisError, match="times per"):
-            engine.period_for([[10.0, 20.0]], "numpy")
+            engine.period_for([[10.0, 20.0]] * BATCH_MIN_ROWS, "numpy")
 
 
 @needs_numpy
@@ -405,34 +387,18 @@ class TestScalarErrorParity:
 
 
 class TestDiscreteTimeBackends:
-    def test_default_bits_do_not_depend_on_environment(
-        self, monkeypatch
-    ):
+    def test_default_bits_do_not_depend_on_environment(self):
+        """The moments are plain Python folds, numpy installed or not."""
         pairs = [(120.0, 0.1), (80.0, 0.3), (40.0, 0.6)]
-        monkeypatch.setenv(BACKEND_ENV_VAR, "python")
-        scalar = DiscreteTime.of(pairs)
-        monkeypatch.setenv(
-            BACKEND_ENV_VAR,
-            "numpy" if numpy_available() else "python",
+        dist = DiscreteTime.of(pairs)
+        total = sum(w for _, w in pairs)
+        normalized = tuple(w / total for _, w in pairs)
+        assert dist._normalized() == normalized
+        assert dist.mean() == sum(
+            v * w for (v, _), w in zip(pairs, normalized)
         )
-        vector = DiscreteTime.of(pairs)
-        assert scalar.mean() == vector.mean()
-        assert scalar.second_moment() == vector.second_moment()
-        assert scalar._normalized() == vector._normalized()
-
-    @needs_numpy
-    def test_explicit_numpy_backend_agrees_with_scalar(self):
-        pairs = [(120.0, 0.1), (80.0, 0.3), (40.0, 0.6)]
-        scalar = DiscreteTime.of(pairs)
-        vector = DiscreteTime.of(pairs, backend="numpy")
-        assert vector.mean() == pytest.approx(
-            scalar.mean(), rel=1e-12
-        )
-        assert vector.second_moment() == pytest.approx(
-            scalar.second_moment(), rel=1e-12
-        )
-        assert vector.mean_residual() == pytest.approx(
-            scalar.mean_residual(), rel=1e-12
+        assert dist.second_moment() == sum(
+            v * v * w for (v, _), w in zip(pairs, normalized)
         )
 
 

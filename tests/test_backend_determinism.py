@@ -1,21 +1,18 @@
-"""Byte-level determinism across backends and across worker counts.
+"""Byte-level determinism across the scalar/batched split and worker counts.
 
-The backend layer accelerates estimation; it must not perturb anything
-the system *records*:
+The batched kernels accelerate estimation; they must not perturb
+anything the system *records*:
 
-* :class:`~repro.generation.workload.WorkloadGenerator` traces are pure
-  seeded randomness — identical bytes whatever ``REPRO_BACKEND`` says;
 * the runtime manager's decision log is produced by the scalar
-  admission path by design (see
-  :func:`repro.core.blocking.build_profiles`), so its JSON is
-  byte-identical across backends;
+  admission path by design, so its JSON is byte-identical whether or
+  not its engines served a batched sweep before;
 * a :class:`~repro.runtime.service.SweepService` sweep stores the same
   records whether misses run inline (``jobs=1``) or fan out over
   worker processes (``jobs=4``) — same keys, same bytes (only the
-  append order may differ, hence the sorted comparison);
-* across *backends* the store keys coincide exactly and the stored
-  periods agree to the 1e-9 parity contract (the bytes of the floats
-  may legitimately differ in the last bits).
+  append order may differ, hence the sorted comparison), although
+  small worker chunks run the scalar loop and large ones the kernels;
+* the stored periods equal the forced scalar reference loop's, bit for
+  bit.
 """
 
 from __future__ import annotations
@@ -25,10 +22,12 @@ import os
 
 import pytest
 
-from repro.backend import numpy_available
+from repro.analysis_engine import build_engines
+from repro.backend import BATCH_MIN_ROWS, numpy_available
+from repro.core.estimator import ProbabilisticEstimator
 from repro.experiments.setup import paper_benchmark_suite
 from repro.generation.workload import WorkloadConfig, WorkloadGenerator
-from repro.runtime.events import trace_to_json
+from repro.platform.usecase import UseCase, all_use_cases
 from repro.runtime.log import log_to_json
 from repro.runtime.manager import ResourceManager, gallery_from_graphs
 from repro.runtime.service import GallerySpec, ResultStore, SweepService
@@ -40,30 +39,17 @@ pytestmark = pytest.mark.skipif(
 GALLERY = GallerySpec(kind="paper", seed=7, application_count=4)
 
 
-def _workload_trace_json(monkeypatch, backend: str) -> str:
-    monkeypatch.setenv("REPRO_BACKEND", backend)
-    generator = WorkloadGenerator(
-        ["A", "B", "C"],
-        config=WorkloadConfig(
-            mean_interarrival=30.0, mean_holding=200.0
-        ),
-    )
-    trace = generator.generate(seed=42, events=500)
-    return trace_to_json(trace)
-
-
-def test_workload_traces_are_byte_identical_across_backends(
-    monkeypatch,
-):
-    scalar = _workload_trace_json(monkeypatch, "python")
-    vector = _workload_trace_json(monkeypatch, "numpy")
-    assert scalar.encode() == vector.encode()
-
-
-def _runtime_log_json(monkeypatch, backend: str) -> str:
-    monkeypatch.setenv("REPRO_BACKEND", backend)
+def _runtime_log_json(after_batched_sweep: bool) -> str:
     suite = paper_benchmark_suite(application_count=4)
     specs = gallery_from_graphs(list(suite.graphs), slack=1.5)
+    engines = build_engines(list(suite.graphs))
+    if after_batched_sweep:
+        ProbabilisticEstimator(
+            list(suite.graphs), mapping=suite.mapping, engines=engines
+        ).estimate_many(
+            all_use_cases(suite.application_names) * BATCH_MIN_ROWS
+        )
+        assert any(engine._batch_cache for engine in engines.values())
     generator = WorkloadGenerator(
         [spec.name for spec in specs],
         quality_levels={
@@ -75,7 +61,7 @@ def _runtime_log_json(monkeypatch, backend: str) -> str:
     )
     trace = generator.generate(seed=99, events=400)
     manager = ResourceManager(
-        specs, mapping=suite.mapping, policy="downgrade"
+        specs, mapping=suite.mapping, policy="downgrade", engines=engines
     )
     log = manager.replay(trace)
     return log_to_json(log)
@@ -95,23 +81,15 @@ def _canonical_log(serialized: str) -> bytes:
     return json.dumps(data, sort_keys=True).encode()
 
 
-def test_runtime_logs_are_byte_identical_across_backends(monkeypatch):
-    scalar = _runtime_log_json(monkeypatch, "python")
-    vector = _runtime_log_json(monkeypatch, "numpy")
-    assert _canonical_log(scalar) == _canonical_log(vector)
+def test_runtime_logs_are_byte_identical_across_backends():
+    fresh = _runtime_log_json(after_batched_sweep=False)
+    shared = _runtime_log_json(after_batched_sweep=True)
+    assert _canonical_log(fresh) == _canonical_log(shared)
 
 
 def _sorted_store_lines(path) -> list:
     return sorted(
         line
-        for line in path.read_text().splitlines()
-        if line.strip()
-    )
-
-
-def _store_keys(path) -> list:
-    return sorted(
-        json.dumps(json.loads(line)["key"], sort_keys=True)
         for line in path.read_text().splitlines()
         if line.strip()
     )
@@ -149,18 +127,23 @@ class TestJobsDeterminism:
 
 class TestBackendStoreKeys:
     def test_store_keys_coincide_across_backends(self, tmp_path):
-        scalar_path = tmp_path / "scalar.jsonl"
-        vector_path = tmp_path / "vector.jsonl"
-        scalar = SweepService(
-            store=ResultStore(scalar_path), backend="python"
-        ).sweep(GALLERY)
-        vector = SweepService(
-            store=ResultStore(vector_path), backend="numpy"
-        ).sweep(GALLERY)
-        assert _store_keys(scalar_path) == _store_keys(vector_path)
-        for one, two in zip(scalar.results, vector.results):
-            assert one.use_case == two.use_case
-            for app, period in one.periods.items():
-                assert two.periods[app] == pytest.approx(
-                    period, rel=1e-9
-                )
+        """The store holds one record per use-case, keyed like the
+        forced scalar reference's use-cases, with its bits."""
+        path = tmp_path / "store.jsonl"
+        outcome = SweepService(store=ResultStore(path)).sweep(GALLERY)
+        assert outcome.use_case_count >= BATCH_MIN_ROWS
+        suite = GALLERY.build()
+        reference = ProbabilisticEstimator(
+            list(suite.graphs), mapping=suite.mapping, backend="python"
+        )
+        stored = {
+            record["key"]["use_case"]: record["periods"]
+            for record in map(json.loads, path.read_text().splitlines())
+        }
+        assert sorted(stored) == sorted(
+            use_case.label() for use_case in all_use_cases(suite.application_names)
+        )
+        for result in outcome.results:
+            expected = reference.estimate(UseCase(result.use_case)).periods
+            assert result.periods == expected
+            assert stored["+".join(result.use_case)] == expected

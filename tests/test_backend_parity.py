@@ -1,21 +1,19 @@
-"""Property-based numpy-vs-python backend parity.
+"""Property-based parity of the batched kernels and the scalar loop.
 
-The vectorized pipeline must never drift from the scalar reference:
-for *any* gallery, mapping, waiting model and analysis method, both
-backends have to produce the same periods, waiting times and response
-times to <= 1e-9 relative (in practice they agree to ~1e-15; the looser
-bound is the documented contract).  Hypothesis drives random galleries
-and use-case batches through both flavours; dedicated tests pin the
-corner cases the strategies reach rarely (stacked mappings,
+A batch of at least ``BATCH_MIN_ROWS`` use-cases runs on the NumPy
+kernels; ``backend="python"`` forces the scalar reference loop.  For
+*any* gallery, mapping, waiting model and analysis method the two must
+give the same bits: equal periods, waiting times and response times.
+Hypothesis drives random galleries through both, each batch padded to
+at least ``BATCH_MIN_ROWS`` rows so the kernels run; dedicated tests
+pin the corner cases the strategies reach rarely (stacked mappings,
 same-application exclusion, the state-space analysis method) and the
 admission controller's warm path, which must stay *bit-identical*
-across backends because the runtime determinism suite byte-compares its
-decision logs.
+whatever batched work its engines did before, because the runtime
+determinism suite byte-compares its decision logs.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -23,7 +21,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.admission.controller import AdmissionController
 from repro.exceptions import AnalysisError
 from repro.analysis_engine import build_engines
-from repro.backend import get_backend, numpy_available
+from repro.backend import BATCH_MIN_ROWS, numpy_available
 from repro.core.estimator import ProbabilisticEstimator
 from repro.generation.random_sdf import GeneratorConfig, random_sdf_graph
 from repro.platform.mapping import index_mapping, modulo_mapping
@@ -34,8 +32,6 @@ from repro.sdf.analysis import AnalysisMethod
 pytestmark = pytest.mark.skipif(
     not numpy_available(), reason="numpy backend not installed"
 )
-
-TOLERANCE = 1e-9
 
 MODELS = (
     "exact",
@@ -58,24 +54,21 @@ def _gallery(seeds):
     ]
 
 
+def _batch(graphs):
+    """Every use-case, repeated up to at least BATCH_MIN_ROWS rows."""
+    use_cases = all_use_cases([g.name for g in graphs])
+    return use_cases * -(-BATCH_MIN_ROWS // len(use_cases))
+
+
 def _assert_parity(scalar_results, vector_results):
+    assert len(scalar_results) == len(vector_results)
     for scalar, vector in zip(scalar_results, vector_results):
         assert scalar.use_case == vector.use_case
         assert scalar.model_name == vector.model_name
         assert scalar.iterations_used == vector.iterations_used
-        for app, period in scalar.periods.items():
-            assert vector.periods[app] == pytest.approx(
-                period, rel=TOLERANCE
-            ), (scalar.use_case, app)
-        for key, waiting in scalar.waiting_times.items():
-            assert (
-                abs(vector.waiting_times[key] - waiting)
-                <= TOLERANCE * max(1.0, abs(waiting))
-            ), (scalar.use_case, key)
-        for key, response in scalar.response_times.items():
-            assert vector.response_times[key] == pytest.approx(
-                response, rel=TOLERANCE
-            ), (scalar.use_case, key)
+        assert vector.periods == scalar.periods, scalar.use_case
+        assert vector.waiting_times == scalar.waiting_times
+        assert vector.response_times == scalar.response_times
 
 
 @settings(
@@ -98,7 +91,7 @@ def test_every_waiting_model_agrees_across_backends(seeds, model):
     backends with the same error, not answered by one of them.
     """
     graphs = _gallery(seeds)
-    use_cases = all_use_cases([g.name for g in graphs])
+    use_cases = _batch(graphs)
     try:
         scalar = ProbabilisticEstimator(
             graphs, waiting_model=model, backend="python"
@@ -132,7 +125,7 @@ def test_every_waiting_model_agrees_across_backends(seeds, model):
 def test_both_analysis_methods_agree_across_backends(seeds, method):
     """MCR and the state-space engine, python vs numpy."""
     graphs = _gallery(seeds)
-    use_cases = all_use_cases([g.name for g in graphs])
+    use_cases = _batch(graphs)
     scalar = ProbabilisticEstimator(
         graphs, analysis_method=method, backend="python"
     ).estimate_many(use_cases)
@@ -165,7 +158,7 @@ def test_stacked_mapping_parity(
     same-application exclusion masks of the batched kernels."""
     graphs = _gallery(seeds)
     mapping = modulo_mapping(graphs, Platform.homogeneous(width))
-    use_cases = all_use_cases([g.name for g in graphs])
+    use_cases = _batch(graphs)
     scalar = ProbabilisticEstimator(
         graphs,
         mapping=mapping,
@@ -183,12 +176,9 @@ def test_stacked_mapping_parity(
     _assert_parity(scalar, vector)
 
 
-def _run_admission_sequence(graphs, mapping):
+def _run_admission_sequence(graphs, mapping, engines):
     """Admit everything, withdraw one, re-admit — all on warm engines."""
-    controller = AdmissionController(
-        mapping,
-        engines=build_engines(graphs),
-    )
+    controller = AdmissionController(mapping, engines=engines)
     quotes = []
     for graph in graphs:
         decision = controller.request_admission(graph)
@@ -211,42 +201,48 @@ def _run_admission_sequence(graphs, mapping):
     return quotes
 
 
-def test_admission_warm_path_is_bit_identical_across_backends(
-    monkeypatch,
-):
+def test_admission_warm_path_is_bit_identical_across_backends():
     """The controller's warm O(1) path never touches the array layer.
 
-    Its quotes must therefore be *bit-identical* whichever backend the
-    environment selects — the property the runtime byte-determinism
-    suite builds on.
+    Its quotes must therefore be *bit-identical* whether or not its
+    engines served a batched sweep before — the property the runtime
+    byte-determinism suite builds on.
     """
     graphs = _gallery([11, 22, 33])
     mapping = index_mapping(graphs)
-    monkeypatch.setenv("REPRO_BACKEND", "python")
-    scalar_quotes = _run_admission_sequence(graphs, mapping)
-    monkeypatch.setenv("REPRO_BACKEND", "numpy")
-    vector_quotes = _run_admission_sequence(graphs, mapping)
-    assert scalar_quotes == vector_quotes
+    fresh_quotes = _run_admission_sequence(
+        graphs, mapping, build_engines(graphs)
+    )
+    engines = build_engines(graphs)
+    # Every application in at least BATCH_MIN_ROWS rows, so each
+    # engine's period_for certifies in batch.
+    ProbabilisticEstimator(
+        graphs, mapping=mapping, engines=engines
+    ).estimate_many(all_use_cases([g.name for g in graphs]) * BATCH_MIN_ROWS)
+    assert any(engine._batch_cache for engine in engines.values())
+    warm_quotes = _run_admission_sequence(graphs, mapping, engines)
+    assert fresh_quotes == warm_quotes
 
 
-def test_explicit_backend_overrides_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", "python")
-    assert get_backend(None).name == "python"
-    assert get_backend("numpy").name == "numpy"
+def test_python_backend_forces_the_scalar_loop():
     graphs = _gallery([5, 6])
-    estimator = ProbabilisticEstimator(graphs, backend="numpy")
-    assert estimator.backend.vectorized
-    # And with no override the environment decides.
-    assert ProbabilisticEstimator(graphs).backend.name == "python"
+    forced = ProbabilisticEstimator(graphs, backend="python")
+    assert not forced.backend.vectorized
+    assert not forced._can_batch(1, BATCH_MIN_ROWS)
+    for selection in (None, "auto", "numpy"):
+        estimator = ProbabilisticEstimator(graphs, backend=selection)
+        assert estimator.backend.name == "numpy"
+        assert estimator._can_batch(1, BATCH_MIN_ROWS)
+        assert not estimator._can_batch(1, BATCH_MIN_ROWS - 1)
 
 
-def test_single_estimate_matches_batched_single(monkeypatch):
-    """estimate() and estimate_many([uc]) agree on both backends."""
+def test_single_estimate_matches_batched_single():
+    """estimate() and a batch repeating its use-case agree, bit for bit."""
     graphs = _gallery([3, 4, 9])
     use_case = UseCase.of(graphs[0].name, graphs[2].name)
     for backend in ("python", "numpy"):
         estimator = ProbabilisticEstimator(graphs, backend=backend)
         single = estimator.estimate(use_case)
-        batched = estimator.estimate_many([use_case])[0]
-        assert single.periods == batched.periods
-        assert single.waiting_times == batched.waiting_times
+        for batched in estimator.estimate_many([use_case] * BATCH_MIN_ROWS):
+            assert single.periods == batched.periods
+            assert single.waiting_times == batched.waiting_times

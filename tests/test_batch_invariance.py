@@ -1,10 +1,12 @@
 """Batch invariance: an estimate is a pure function of its query.
 
-On the vectorized backend a use-case's answer must carry the same bits
-whether it is estimated alone or inside any batch, in any position,
-after any history of earlier batches on the same estimator — the
-property ``repro sweep --jobs N`` relies on when it splits one sweep
-into per-worker chunks and stores the bytes.  The solver-level twin in
+A use-case's answer must carry the same bits as the forced scalar
+reference loop (``backend="python"``) whether it is estimated inside a
+batch of any size — small batches run the scalar loop, batches of at
+least ``BATCH_MIN_ROWS`` rows the NumPy kernels — in any position,
+after any history of earlier batches on the same estimator.  ``repro
+sweep --jobs N`` relies on it when it splits one sweep into per-worker
+chunks and stores the bytes.  The solver-level twin in
 ``tests/test_sdf_mcm.py`` pins the same for
 :meth:`~repro.sdf.mcm.IncrementalMCRSolver.solve_many`.
 """
@@ -17,11 +19,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backend import numpy_available
+from repro.backend import BATCH_MIN_ROWS, numpy_available
 from repro.core.estimator import ProbabilisticEstimator
 from repro.core.registry import WAITING_MODELS
 from repro.experiments.setup import paper_benchmark_suite
 from repro.platform.usecase import all_use_cases
+from repro.telemetry import Tracer
 
 pytestmark = pytest.mark.skipif(
     not numpy_available(), reason="numpy backend not installed"
@@ -48,13 +51,13 @@ def _use_cases():
     return tuple(all_use_cases(_suite().application_names))
 
 
-def _estimator(model: str) -> ProbabilisticEstimator:
+def _estimator(model: str, backend: str = "numpy") -> ProbabilisticEstimator:
     suite = _suite()
     return ProbabilisticEstimator(
         list(suite.graphs),
         mapping=suite.mapping,
         waiting_model=model,
-        backend="numpy",
+        backend=backend,
     )
 
 
@@ -70,9 +73,9 @@ def _answer(result) -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def _alone(model: str, iterations: int, index: int) -> tuple:
-    """The use-case estimated alone, on a fresh estimator."""
-    (result,) = _estimator(model).estimate_many(
-        [_use_cases()[index]], iterations=iterations
+    """The use-case alone on a fresh forced scalar reference loop."""
+    result = _estimator(model, "python").estimate(
+        _use_cases()[index], iterations=iterations
     )
     return _answer(result)
 
@@ -128,3 +131,36 @@ def test_whole_gallery_forwards_and_reversed(model, iterations):
         alone = _alone(model, iterations, index)
         assert _answer(one) == alone
         assert _answer(two) == alone
+
+
+@pytest.mark.parametrize("iterations", (1, 3))
+@pytest.mark.parametrize("model", MODELS)
+def test_every_batch_size_equals_the_scalar_reference(model, iterations):
+    """Batches of 1 to BATCH_MIN_ROWS + 1 rows, either side of the
+    dispatch threshold, each on a fresh estimator."""
+    use_cases = _use_cases()
+    start = 0
+    for rows in range(1, BATCH_MIN_ROWS + 2):
+        indices = [(start + i) % len(use_cases) for i in range(rows)]
+        start += rows
+        results = _estimator(model).estimate_many(
+            [use_cases[i] for i in indices], iterations=iterations
+        )
+        for index, result in zip(indices, results):
+            assert _answer(result) == _alone(model, iterations, index)
+
+
+def test_row_count_picks_the_path():
+    """Fewer than BATCH_MIN_ROWS rows run the scalar loop, enough rows
+    the kernels; the ``estimator.estimate_many`` span says which."""
+    estimator = _estimator("second_order")
+    estimator._tracer = tracer = Tracer(enabled=True)
+    use_cases = _use_cases()
+    estimator.estimate_many(use_cases[: BATCH_MIN_ROWS - 1])
+    estimator.estimate_many(use_cases[:BATCH_MIN_ROWS])
+    batched = [
+        span.attributes["batched"]
+        for span in tracer.spans()
+        if span.name == "estimator.estimate_many"
+    ]
+    assert batched == [False, True]

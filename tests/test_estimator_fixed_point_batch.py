@@ -1,11 +1,11 @@
 """Batched fixed-point refinement vs. the scalar reference loop.
 
-``estimate_many(..., iterations > 1)`` on a vectorized backend iterates
+``estimate_many(..., iterations > 1)`` on the batched kernels iterates
 the *whole* use-case batch with a per-row convergence mask: converged
 rows freeze (keeping their final pass's waiting/response values),
-active rows keep refining.  The contract is the library-wide backend
-parity band (<= 1e-9 relative, like ``tests/test_backend_parity.py``),
-plus *exact* agreement on the per-row iteration counts — the mask must
+active rows keep refining.  The contract is the library-wide one (like
+``tests/test_backend_parity.py``): the same bits as the scalar
+reference loop, the same per-row iteration counts — the mask must
 freeze precisely the rows the scalar loop's early break would stop —
 and the same errors on the same inputs.  Third-party batch kernels
 that cannot consume per-row probabilities (no ``batch_rowwise`` flag)
@@ -18,7 +18,7 @@ import itertools
 
 import pytest
 
-from repro.backend import numpy_available
+from repro.backend import BATCH_MIN_ROWS, numpy_available
 from repro.core.estimator import ProbabilisticEstimator
 from repro.core.waiting import supports_batch, supports_rowwise_batch
 from repro.exceptions import AnalysisError
@@ -28,8 +28,6 @@ from repro.platform.usecase import UseCase
 pytestmark = pytest.mark.skipif(
     not numpy_available(), reason="numpy backend not installed"
 )
-
-TOLERANCE = 1e-9
 
 MODELS = (
     "exact",
@@ -73,21 +71,9 @@ def _assert_parity(scalar_results, batched_results):
         assert scalar.iterations_used == batched.iterations_used, (
             scalar.use_case
         )
-        for app, period in scalar.periods.items():
-            assert (
-                abs(batched.periods[app] - period)
-                <= TOLERANCE * max(1.0, abs(period))
-            ), (scalar.use_case, app)
-        for key, waiting in scalar.waiting_times.items():
-            assert (
-                abs(batched.waiting_times[key] - waiting)
-                <= TOLERANCE * max(1.0, abs(waiting))
-            ), (scalar.use_case, key)
-        for key, response in scalar.response_times.items():
-            assert (
-                abs(batched.response_times[key] - response)
-                <= TOLERANCE * max(1.0, abs(response))
-            ), (scalar.use_case, key)
+        assert batched.periods == scalar.periods, scalar.use_case
+        assert batched.waiting_times == scalar.waiting_times
+        assert batched.response_times == scalar.response_times
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -170,7 +156,7 @@ class _NegativeModel:
 
 
 def test_negative_waiting_error_message_parity(suite):
-    full = [UseCase(tuple(g.name for g in suite.graphs))]
+    full = [UseCase(tuple(g.name for g in suite.graphs))] * BATCH_MIN_ROWS
     errors = {}
     for backend in ("python", "numpy"):
         estimator = _estimator(suite, _NegativeModel(), backend)
@@ -219,8 +205,8 @@ def test_one_dimensional_batch_model_falls_back_for_refinement(
     assert not supports_rowwise_batch(model)
     batched = _estimator(suite, model, "numpy")
     # Single-pass estimates may batch; refinement must not.
-    assert batched._can_batch(1)
-    assert not batched._can_batch(2)
+    assert batched._can_batch(1, BATCH_MIN_ROWS)
+    assert not batched._can_batch(2, BATCH_MIN_ROWS)
     scalar = _estimator(suite, model, "python").estimate_many(
         use_cases[:6], iterations=3
     )

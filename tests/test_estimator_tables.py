@@ -1,7 +1,8 @@
 """The batched estimator's per-actor tables: exact golden and semantics.
 
 The backend-parity tests compare ``waiting_times``/``response_times``
-within 1e-9 relative; this file pins them bit for bit.  The fixture
+with the scalar reference loop; this file pins their bits against a
+fixture.  The fixture
 ``tests/goldens/estimator_tables.json`` stores every value as
 ``float.hex`` for all 15 use-cases of the 4-application paper suite
 (seed 11) on the numpy backend, per waiting model and fixed-point
@@ -35,7 +36,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.backend import numpy_available
+from repro.backend import BATCH_MIN_ROWS, numpy_available
 from repro.core.estimator import ProbabilisticEstimator
 from repro.exceptions import ExperimentError
 from repro.experiments.setup import paper_benchmark_suite
@@ -138,10 +139,10 @@ def _estimator(suite, backend):
 
 @pytest.fixture(scope="module")
 def result(suite):
-    (batched,) = _estimator(suite, "numpy").estimate_many(
-        [UseCase(("A", "B", "D"))], iterations=3
-    )
-    return batched
+    # Enough rows for the batched kernels, whose tables are the views.
+    return _estimator(suite, "numpy").estimate_many(
+        [UseCase(("A", "B", "D"))] * BATCH_MIN_ROWS, iterations=3
+    )[0]
 
 
 @pytest.mark.parametrize("table", TABLES)
@@ -192,7 +193,9 @@ class TestRowTableSemantics:
 
 def test_keys_run_in_use_case_then_actor_order(suite):
     use_case = UseCase(("D", "A", "C"))
-    (batched,) = _estimator(suite, "numpy").estimate_many([use_case])
+    batched = _estimator(suite, "numpy").estimate_many(
+        [use_case] * BATCH_MIN_ROWS
+    )[0]
     scalar = _estimator(suite, "python").estimate(use_case)
     graphs = {g.name: g for g in suite.graphs}
     expected = [
@@ -209,7 +212,8 @@ def test_unknown_application_error_matches_the_scalar_path(suite):
     for backend in ("python", "numpy"):
         with pytest.raises(ExperimentError) as info:
             _estimator(suite, backend).estimate_many(
-                [UseCase(("A",)), UseCase(("B", "Z"))]
+                [UseCase(("A",))] * (BATCH_MIN_ROWS - 1)
+                + [UseCase(("B", "Z"))]
             )
         messages.append(str(info.value))
     assert messages[0] == messages[1]

@@ -3,11 +3,11 @@
 Frozen JSON snapshots of Table 1, Figure 5 and Figure 6 (at a reduced,
 seconds-scale configuration) live under ``tests/goldens/``.  Any change
 that moves a reproduced number by more than 1e-9 *relative* fails here —
-whether it comes from a refactor, a new array backend, or an accidental
-semantic change.  Because the scalar and vectorized backends agree to
-well below the threshold, the same fixtures gate both
-(``REPRO_BACKEND=python`` and ``=numpy`` CI axes run this file
-unchanged).
+whether it comes from a refactor, a change to the batched kernels, or an
+accidental semantic change.  A batch runs on the NumPy kernels when NumPy
+is importable and it has at least ``BATCH_MIN_ROWS`` rows, and on the
+scalar loop otherwise; the two give the same bits, so the same fixtures
+gate both CI legs (numpy installed and numpy absent) unchanged.
 
 Regeneration (after an *intentional* numeric change)::
 

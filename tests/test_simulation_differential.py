@@ -408,6 +408,29 @@ class TestErrorAndTrackerParity:
         assert outcomes[True] == outcomes[False]
         assert trackers[True] == trackers[False]
 
+    def test_max_events_abort_leaves_identical_trackers(self):
+        suite = paper_benchmark_suite(seed=3, application_count=2)
+        config = SimulationConfig(target_iterations=1000, max_events=400)
+        errors, trackers = {}, {}
+        for reference in (True, False):
+            simulator = Simulator(
+                list(suite.graphs), mapping=suite.mapping, config=config
+            )
+            loop = simulator._run_reference if reference else simulator.run
+            with pytest.raises(AnalysisError) as error:
+                loop()
+            errors[reference] = str(error.value)
+            trackers[reference] = {
+                app: (dict(tracker._fires), list(tracker.completion_times))
+                for app, tracker in simulator._trackers.items()
+            }
+        assert errors[True] == errors[False]
+        assert "exceeded 400 events" in errors[True]
+        # The abort comes after some iterations completed, so all-zero
+        # trackers cannot pass for the reference's.
+        assert all(times for _, times in trackers[True].values())
+        assert trackers[True] == trackers[False]
+
     def test_deadlock_before_target_raises_identically(self):
         graphs, mapping = self._starving_setup()
         config = SimulationConfig(
