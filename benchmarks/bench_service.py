@@ -96,7 +96,6 @@ async def _served_periods(slices):
     server = EstimationServer(
         pool=pool,
         cache=ResultCache(0),
-        batch_window=0.003,
         max_batch=512,
     )
     host, port = await server.start()
@@ -214,7 +213,6 @@ async def _bench_served(slices, solver_workers):
     """
     server = EstimationServer(
         cache=ResultCache(0),
-        batch_window=0.003,
         max_batch=512,
         solver_workers=solver_workers,
     )
@@ -338,7 +336,7 @@ def test_service_cache_turns_repeats_into_hits(benchmark):
     """A repeated query storm is served from the LRU cache, no solves."""
 
     async def run():
-        server = EstimationServer(batch_window=0.001)
+        server = EstimationServer()
         host, port = await server.start()
         gallery = {"applications": APPLICATIONS}
         use_cases = list(all_use_cases(GALLERY.application_names()))
@@ -434,33 +432,43 @@ def test_service_fleet_load(benchmark):
     report("service_fleet_load", load.render())
 
 
-def test_router_batching_speedup(benchmark):
+def test_router_batching_speedup(benchmark, monkeypatch):
     """Router micro-batching >= 1.3x fleet qps on the fan-in storm.
 
     Many logical clients multiplexed over a few sockets hammer a small
     gallery set — the pattern where per-query shard hops drown the
-    fleet in framing and scheduling.  The batched run coalesces those
-    hops into one ``estimate_batch`` frame per shard per window; same
-    storm, same seed, so the ratio isolates what the router batcher
-    buys."""
+    fleet in framing and scheduling.  The default router coalesces
+    same-group queries into one ``estimate_batch`` frame per shard
+    hop; the baseline forwards each query in its own concurrent hop.
+    Same storm, same seed, so the ratio isolates what the router
+    batcher buys."""
     from repro.experiments.service_load import LoadConfig, run_load
+    from repro.service.router import ShardRouter, _RoutedQuery
 
-    def storm(window: float):
-        return run_load(
-            LoadConfig(
-                clients=_smoke_or_full(256, 64),
-                queries_per_client=_smoke_or_full(4, 2),
-                connections=8,
-                shards=2,
-                arrival="bursty",
-                mean_interarrival_ms=0.5,
-                gallery=GallerySpec(application_count=4),
-                router_batch_window=window,
-            )
-        )
+    config = LoadConfig(
+        clients=_smoke_or_full(256, 64),
+        queries_per_client=_smoke_or_full(4, 2),
+        connections=8,
+        shards=2,
+        arrival="bursty",
+        mean_interarrival_ms=0.5,
+        gallery=GallerySpec(application_count=4),
+    )
+
+    async def one_hop_per_query(router, queries, trace_id):
+        loop = asyncio.get_running_loop()
+        members = [
+            _RoutedQuery(query=query, trace_id=trace_id, future=loop.create_future())
+            for query in queries
+        ]
+        await asyncio.gather(*[router._forward_group([m]) for m in members])
+        return [member.future for member in members]
 
     def run():
-        return storm(0.0), storm(0.002)
+        with monkeypatch.context() as patch:
+            patch.setattr(ShardRouter, "_coalesce", one_hop_per_query)
+            unbatched = run_load(config)
+        return unbatched, run_load(config)
 
     unbatched, batched = benchmark.pedantic(run, rounds=1, iterations=1)
     assert unbatched.errors == 0
@@ -468,6 +476,8 @@ def test_router_batching_speedup(benchmark):
     assert batched.queries == unbatched.queries
     assert batched.router is not None
     assert batched.router["batches"] >= 1
+    # The baseline really forwarded one query per hop.
+    assert unbatched.router["batches"] == unbatched.router["batched_queries"]
     speedup = batched.queries_per_second / unbatched.queries_per_second
     p99_reduction = 1.0 - batched.latency_p99_ms / unbatched.latency_p99_ms
     assert speedup >= MIN_SPEEDUP_ROUTER_BATCH, (
@@ -495,12 +505,12 @@ def test_router_batching_speedup(benchmark):
                     f"{batched.latency_p99_ms:.2f} ms",
                 ],
                 [
-                    "router hops",
+                    "forwarded queries",
                     unbatched.router["forwarded"],
                     batched.router["forwarded"],
                 ],
                 [
-                    "router batches",
+                    "router hops",
                     unbatched.router["batches"],
                     batched.router["batches"],
                 ],

@@ -79,7 +79,10 @@ from typing import Callable, Dict, Optional, Sequence
 #:    router with micro-batching off vs. on (one framed
 #:    ``estimate_batch`` per shard hop), recording qps / p99 for both
 #:    runs plus the speedup and p99 reduction.
-SCHEMA_VERSION = 6
+#: 7: ``fleet.router_batching`` records the default router (which
+#:    always coalesces) on that storm: qps, p99, errors and hops per
+#:    query.  The window sweep and its speedup fields are gone.
+SCHEMA_VERSION = 7
 
 
 def _measure_sweeps(fast: bool) -> Dict[str, object]:
@@ -302,32 +305,23 @@ def _measure_fleet(fast: bool) -> Dict[str, object]:
             gallery=GallerySpec(application_count=4 if fast else 8),
         )
     )
-    # PR 10: the router micro-batcher on the fan-in pattern it was
-    # built for — many logical clients over a few sockets hammering a
-    # small gallery set, so same-gallery queries coalesce into one
-    # framed ``estimate_batch`` per shard hop.  Off vs. on, same storm.
-    def fan_in(window: float):
-        report = run_load(
-            LoadConfig(
-                clients=64 if fast else 256,
-                queries_per_client=2 if fast else 4,
-                connections=8,
-                shards=2,
-                arrival="bursty",
-                mean_interarrival_ms=0.5,
-                gallery=GallerySpec(application_count=4),
-                router_batch_window=window,
-            )
+    # The router micro-batcher on the fan-in pattern it was built
+    # for: many logical clients over a few sockets hammering a small
+    # gallery set, so same-gallery queries coalesce into one framed
+    # ``estimate_batch`` per shard hop.
+    fan_in = run_load(
+        LoadConfig(
+            clients=64 if fast else 256,
+            queries_per_client=2 if fast else 4,
+            connections=8,
+            shards=2,
+            arrival="bursty",
+            mean_interarrival_ms=0.5,
+            gallery=GallerySpec(application_count=4),
         )
-        return {
-            "queries_per_second": round(report.queries_per_second, 1),
-            "latency_p99_ms": round(report.latency_p99_ms, 3),
-            "errors": report.errors,
-        }
-
-    window = 0.002
-    unbatched = fan_in(0.0)
-    batched = fan_in(window)
+    )
+    assert fan_in.router is not None
+    hops = int(fan_in.router["batches"])  # type: ignore[call-overload]
     return {
         "shards": load.shards,
         "solver_workers_per_shard": load.workers,
@@ -343,19 +337,10 @@ def _measure_fleet(fast: bool) -> Dict[str, object]:
         "shed": load.shed,
         "router_retries": load.retries,
         "router_batching": {
-            "batch_window_ms": window * 1e3,
-            "unbatched": unbatched,
-            "batched": batched,
-            "qps_speedup": round(
-                batched["queries_per_second"]
-                / unbatched["queries_per_second"],
-                3,
-            ),
-            "p99_reduction": round(
-                1.0
-                - batched["latency_p99_ms"] / unbatched["latency_p99_ms"],
-                3,
-            ),
+            "queries_per_second": round(fan_in.queries_per_second, 1),
+            "latency_p99_ms": round(fan_in.latency_p99_ms, 3),
+            "errors": fan_in.errors,
+            "hops_per_query": round(hops / fan_in.queries, 3),
         },
     }
 

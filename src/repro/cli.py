@@ -345,18 +345,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "(requests in, responses out, one JSON object per line)"
         ),
     )
-    serve.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.0,
-        metavar="MS",
-        help=(
-            "milliseconds the batcher lingers after the first arrival "
-            "so queries spread over the window coalesce (default 0: "
-            "drain as soon as the solver is idle; arrivals during a "
-            "solve still batch together)"
-        ),
-    )
     serve.add_argument("--max-batch", type=int, default=128, metavar="N")
     serve.add_argument(
         "--max-pending",
@@ -498,18 +486,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "expose the router's merged Prometheus metrics over HTTP "
             "GET /metrics on this port (0 = ephemeral)"
-        ),
-    )
-    route.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help=(
-            "router micro-batching: the first estimate of a gallery "
-            "waits this long so same-gallery estimates from other "
-            "client connections ride in its framed estimate_batch "
-            "shard hop (0 = no wait)"
         ),
     )
     route.add_argument(
@@ -1119,7 +1095,6 @@ def _cmd_serve(arguments) -> None:
             pool_options["split_threshold"] = arguments.split_threshold
         server = EstimationServer(
             cache=ResultCache(arguments.cache_size, registry=registry),
-            batch_window=arguments.batch_window / 1e3,
             max_batch=arguments.max_batch,
             max_pending=arguments.max_pending,
             shed_policy=arguments.shed_policy,
@@ -1208,7 +1183,6 @@ def _cmd_route(arguments) -> None:
             shards,
             health_interval=arguments.health_interval,
             max_retries=arguments.max_retries,
-            batch_window=arguments.batch_window,
             replication=arguments.replication,
             handoff_limit=arguments.handoff_limit,
         )

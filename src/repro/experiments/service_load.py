@@ -95,14 +95,12 @@ class LoadConfig:
     gallery: GallerySpec = field(default_factory=GallerySpec)
     model: str = "second_order"
     method: str = "mcr"
-    batch_window: float = 0.0
     max_batch: int = 128
     max_pending: int = 1024
     shed_policy: str = "reject"
     cache_entries: int = 4096
     shards: int = 1
     solver_workers: int = 0
-    router_batch_window: float = 0.0
     replication: int = 1
     churn: bool = False
     connections: Optional[int] = None
@@ -134,11 +132,6 @@ class LoadConfig:
         if self.connections is not None and self.connections < 1:
             raise ExperimentError(
                 f"connections must be >= 1, got {self.connections}"
-            )
-        if self.router_batch_window < 0:
-            raise ExperimentError(
-                f"router_batch_window must be >= 0, "
-                f"got {self.router_batch_window}"
             )
         if self.replication < 0:
             raise ExperimentError(
@@ -490,7 +483,6 @@ async def _run(config: LoadConfig) -> LoadReport:
                 cache=ResultCache(
                     config.cache_entries, registry=shard_registry
                 ),
-                batch_window=config.batch_window,
                 max_batch=config.max_batch,
                 max_pending=config.max_pending,
                 shed_policy=config.shed_policy,
@@ -508,7 +500,6 @@ async def _run(config: LoadConfig) -> LoadReport:
         spare = EstimationServer(
             pool=EnginePool(registry=spare_registry),
             cache=ResultCache(config.cache_entries, registry=spare_registry),
-            batch_window=config.batch_window,
             max_batch=config.max_batch,
             max_pending=config.max_pending,
             shed_policy=config.shed_policy,
@@ -523,7 +514,6 @@ async def _run(config: LoadConfig) -> LoadReport:
         router = ShardRouter(
             addresses,
             health_interval=0.25,
-            batch_window=config.router_batch_window,
             replication=config.replication,
             registry=registry,
             tracer=tracer,
@@ -659,16 +649,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--applications", type=int, default=6)
     parser.add_argument("--model", default="second_order")
-    parser.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.0,
-        metavar="MS",
-        help=(
-            "milliseconds each shard's batcher lingers after the first "
-            "arrival (0 = drain as soon as the solver is idle)"
-        ),
-    )
     parser.add_argument("--cache-size", type=int, default=4096)
     parser.add_argument(
         "--shed-policy",
@@ -689,17 +669,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         type=int,
         default=0,
         help="solver worker processes per shard (0 = solver thread)",
-    )
-    parser.add_argument(
-        "--router-batch-window",
-        type=float,
-        default=0.0,
-        metavar="MS",
-        help=(
-            "router micro-batching window: same-gallery queries "
-            "across connections arriving within it share one framed "
-            "hop per shard (0 = no wait)"
-        ),
     )
     parser.add_argument(
         "--replication",
@@ -790,12 +759,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 application_count=arguments.applications
             ),
             model=arguments.model,
-            batch_window=arguments.batch_window / 1e3,
             cache_entries=arguments.cache_size,
             shed_policy=arguments.shed_policy,
             shards=arguments.shards,
             solver_workers=arguments.workers,
-            router_batch_window=arguments.router_batch_window / 1e3,
             replication=arguments.replication,
             churn=arguments.churn,
             connections=arguments.connections,

@@ -46,11 +46,12 @@ The fleet is **elastic** (PR 10):
   longer cold-starts its key space: the failover read hits the
   replica in the neighbour's result cache instead of re-solving.
 * every estimate travels to its shard in a framed ``estimate_batch``
-  hop, and the router **micro-batches**: the first query of a
-  ``(gallery, model, method)`` group waits ``batch_window`` seconds,
-  and the same-group queries arriving meanwhile, from any client
-  connection, are deduplicated by query key and ride in its hop — N
-  concurrent questions cost one round-trip of framing instead of N.
+  hop, and the router **micro-batches** without a timer: the first
+  query of a ``(gallery, model, method)`` group yields one event-loop
+  turn, so the same-group queries already read from any client
+  connection join it, are deduplicated by query key and ride in its
+  hop — N concurrent questions cost one round-trip of framing
+  instead of N.
 
 ``stats``/``metrics`` aggregate the router's own counters with every
 live shard's; ``shutdown`` stops the router — shards are separate
@@ -94,6 +95,10 @@ _T = TypeVar("_T")
 #: hand-off is a warm-up, not a guarantee — bounding it keeps ring
 #: changes O(cache) cheap and the admin verbs fast.
 DEFAULT_HANDOFF_LIMIT = 256
+
+#: Most queries one framed shard hop carries; a larger coalesced
+#: group is split into several hops.
+MAX_BATCH = 128
 
 
 def parse_shard_address(value: str) -> Tuple[str, int]:
@@ -150,13 +155,6 @@ class ShardRouter(JsonLinesEndpoint):
     max_retries:
         How many *additional* shards a failed-over estimate may try
         before reporting failure (bounded by the live shard count).
-    batch_window:
-        Seconds the first estimate of a ``(gallery, model, method)``
-        group waits before its hop, so same-group estimates from other
-        client connections ride in the same framed ``estimate_batch``.
-        ``0`` (default) forwards at once.
-    max_batch:
-        Most queries one framed shard hop may carry.
     replication:
         How many ring-successor shards each freshly solved answer is
         asynchronously replicated to (0 disables; 1 — the default —
@@ -171,8 +169,6 @@ class ShardRouter(JsonLinesEndpoint):
         shards: Sequence[Tuple[str, int]],
         health_interval: float = 1.0,
         max_retries: int = 2,
-        batch_window: float = 0.0,
-        max_batch: int = 128,
         replication: int = 1,
         handoff_limit: int = DEFAULT_HANDOFF_LIMIT,
         registry: Optional[MetricsRegistry] = None,
@@ -184,12 +180,6 @@ class ShardRouter(JsonLinesEndpoint):
             raise ServiceError(
                 f"health_interval must be >= 0, got {health_interval}"
             )
-        if batch_window < 0:
-            raise ServiceError(
-                f"batch_window must be >= 0, got {batch_window}"
-            )
-        if max_batch < 1:
-            raise ServiceError(f"max_batch must be >= 1, got {max_batch}")
         if replication < 0:
             raise ServiceError(
                 f"replication must be >= 0, got {replication}"
@@ -202,8 +192,6 @@ class ShardRouter(JsonLinesEndpoint):
             registry = MetricsRegistry(enabled=True)
         self.health_interval = health_interval
         self.max_retries = max_retries
-        self.batch_window = batch_window
-        self.max_batch = max_batch
         self.replication = replication
         self.handoff_limit = handoff_limit
         self._shards: Dict[str, _Shard] = {}
@@ -674,10 +662,11 @@ class ShardRouter(JsonLinesEndpoint):
         futures of their answers.
 
         The first query of a ``(gallery, model, method)`` group opens
-        the group's pending list, waits ``batch_window`` so same-group
-        queries from other connections can join it, then forwards the
-        list one ``estimate_batch`` hop per ``max_batch`` members.  A
-        query arriving while the list is open only joins it.
+        the group's pending list and yields one event-loop turn, so the
+        same-group requests already read from any connection join it,
+        then forwards the list one ``estimate_batch`` hop per
+        :data:`MAX_BATCH` members.  A query arriving while the list is
+        open only joins it.
         """
         if self._closing:
             raise ServiceError("router is shutting down")
@@ -692,11 +681,10 @@ class ShardRouter(JsonLinesEndpoint):
             pending.extend(members)
         else:
             pending = self._pending[group] = list(members)
-            if self.batch_window:
-                await asyncio.sleep(self.batch_window)
+            await asyncio.sleep(0)
             del self._pending[group]
-            for start in range(0, len(pending), self.max_batch):
-                await self._forward_group(pending[start : start + self.max_batch])
+            for start in range(0, len(pending), MAX_BATCH):
+                await self._forward_group(pending[start : start + MAX_BATCH])
         return [member.future for member in members]
 
     async def _forward_group(self, members: List[_RoutedQuery]) -> None:
@@ -940,7 +928,6 @@ class ShardRouter(JsonLinesEndpoint):
             "shard_down": int(self._metric_failovers.value),
             "shard_up": int(self._metric_rejoins.value),
             "errors": int(self._metric_errors.value),
-            "batch_window": self.batch_window,
             "batches": int(self._metric_batches.value),
             "batched_queries": int(self._metric_batched_queries.value),
             "replication": self.replication,

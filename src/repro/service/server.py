@@ -278,16 +278,10 @@ class EstimationServer(JsonLinesEndpoint):
     pool / cache:
         Warm estimator pool and LRU result cache; built with defaults
         when omitted (``ResultCache(0)`` disables caching).
-    batch_window:
-        Seconds the batcher lingers after the first arrival before it
-        drains.  The default ``0.0`` drains on idle: when the solver is
-        free a lone miss is solved at once, and batches form from what
-        arrives while a solve runs (a queue only waits while its solver
-        is busy).  A positive window is opt-in: it delays every miss on
-        an idle server by that long in exchange for coalescing
-        arrivals spread across it.
     max_batch:
-        Most queries drained into one micro-batch.
+        Most queries drained into one micro-batch.  The batcher never
+        lingers: when the solver is free a lone miss is solved at once,
+        and a batch forms from whatever arrives while a solve runs.
     max_pending:
         Queue depth that counts as overload; beyond it the shedding
         policy decides.
@@ -322,7 +316,6 @@ class EstimationServer(JsonLinesEndpoint):
         self,
         pool: Optional[EnginePool] = None,
         cache: Optional[ResultCache] = None,
-        batch_window: float = 0.0,
         max_batch: int = 128,
         max_pending: int = 1024,
         shed_policy: "QoSPolicy | str" = "reject",
@@ -333,8 +326,6 @@ class EstimationServer(JsonLinesEndpoint):
         registry: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        if batch_window < 0:
-            raise ServiceError(f"batch_window must be >= 0, got {batch_window}")
         if max_batch < 1:
             raise ServiceError(f"max_batch must be >= 1, got {max_batch}")
         if max_pending < 1:
@@ -382,7 +373,6 @@ class EstimationServer(JsonLinesEndpoint):
         self.cache = (
             cache if cache is not None else ResultCache(registry=self.registry)
         )
-        self.batch_window = batch_window
         self.max_batch = max_batch
         self.max_pending = max_pending
         self.shed_policy = make_qos_policy(shed_policy)
@@ -726,14 +716,6 @@ class EstimationServer(JsonLinesEndpoint):
             if not self._pending:
                 self._arrival.clear()
                 await self._arrival.wait()
-            if (
-                self.batch_window > 0
-                and not self._closing
-                and len(self._pending) < self.max_batch
-            ):
-                # Linger briefly: concurrent clients that fired
-                # "simultaneously" land in this batch, not the next.
-                await asyncio.sleep(self.batch_window)
             batch: List[_PendingQuery] = []
             while self._pending and len(batch) < self.max_batch:
                 batch.append(self._pending.popleft())

@@ -1,6 +1,10 @@
-"""Shared fixtures: the paper's graphs and small benchmark suites."""
+"""Shared fixtures: the paper's graphs, small benchmark suites and a
+batcher hold for the estimation-server tests."""
 
 from __future__ import annotations
+
+import asyncio
+import contextlib
 
 import pytest
 
@@ -68,3 +72,34 @@ def small_suite() -> BenchmarkSuite:
 def full_suite() -> BenchmarkSuite:
     """The paper-scale ten-application suite (session-cached)."""
     return paper_benchmark_suite()
+
+
+@contextlib.asynccontextmanager
+async def _held_batcher(server, arrivals):
+    """Keep ``server``'s batcher from draining until ``arrivals`` more
+    estimate requests have reached it; on exit it drains them as one
+    batch.  Concurrent arrival without a timer."""
+    # Let a just-started batcher reach its wait on the arrival event;
+    # a fresh event then takes every submit's wake-up until the held
+    # one is handed back.
+    await asyncio.sleep(0)
+    held, server._arrival = server._arrival, asyncio.Event()
+    expected = server.stats.estimate_requests + arrivals
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + 30.0
+    try:
+        yield
+        while server.stats.estimate_requests < expected:
+            assert loop.time() < deadline, "requests never reached the server"
+            await asyncio.sleep(0.001)
+    finally:
+        server._arrival = held
+        held.set()
+
+
+@pytest.fixture
+def held_batcher():
+    """``async with held_batcher(server, arrivals):`` — the misses sent
+    inside the block drain as one batch once ``arrivals`` estimate
+    requests have reached the server."""
+    return _held_batcher

@@ -10,7 +10,6 @@ from repro.core.registry import (
     ArbiterInfo,
     WaitingModelInfo,
     create_waiting_model,
-    model_info_for,
     parse_model_spec,
     render_model_table,
 )

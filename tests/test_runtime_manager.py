@@ -20,7 +20,6 @@ from repro.experiments.setup import paper_benchmark_suite
 from repro.runtime.events import EventKind, ScenarioEvent, Trace
 from repro.runtime.log import (
     DecisionRecord,
-    RuntimeLog,
     log_from_json,
     log_to_json,
 )

@@ -220,27 +220,29 @@ def serve(coroutine_factory, **server_kwargs):
 
 
 class TestServer:
-    def test_concurrent_clients_match_direct_estimation(self):
+    def test_concurrent_clients_match_direct_estimation(self, held_batcher):
         """Many clients, one micro-batch, the scalar path's bits."""
         use_cases = list(all_use_cases(names()))
 
         async def scenario(server, host, port):
             clients = [await ServiceClient.connect(host, port) for _ in range(5)]
             try:
-                results = await asyncio.gather(
-                    *[
-                        clients[index % len(clients)].estimate(
-                            use_case.applications, gallery=GALLERY
-                        )
-                        for index, use_case in enumerate(use_cases)
-                    ]
-                )
+                async with held_batcher(server, len(use_cases)):
+                    asked = asyncio.gather(
+                        *[
+                            clients[index % len(clients)].estimate(
+                                use_case.applications, gallery=GALLERY
+                            )
+                            for index, use_case in enumerate(use_cases)
+                        ]
+                    )
+                results = await asked
             finally:
                 for client in clients:
                     await client.aclose()
             return results, server.snapshot()
 
-        results, stats = serve(scenario, batch_window=0.01)
+        results, stats = serve(scenario)
 
         suite = paper_benchmark_suite(application_count=4)
         reference = ProbabilisticEstimator(
@@ -260,24 +262,26 @@ class TestServer:
         assert stats["batches"] < len(use_cases)
         assert stats["solved_queries"] == len(use_cases)
 
-    def test_identical_queries_deduplicate_inside_a_batch(self):
+    def test_identical_queries_deduplicate_inside_a_batch(self, held_batcher):
         async def scenario(server, host, port):
             clients = [await ServiceClient.connect(host, port) for _ in range(6)]
             try:
-                results = await asyncio.gather(
-                    *[
-                        client.estimate(
-                            [names()[0], names()[1]], gallery=GALLERY
-                        )
-                        for client in clients
-                    ]
-                )
+                async with held_batcher(server, len(clients)):
+                    asked = asyncio.gather(
+                        *[
+                            client.estimate(
+                                [names()[0], names()[1]], gallery=GALLERY
+                            )
+                            for client in clients
+                        ]
+                    )
+                results = await asked
             finally:
                 for client in clients:
                     await client.aclose()
             return results, server.snapshot()
 
-        results, stats = serve(scenario, batch_window=0.05, cache=ResultCache(0))
+        results, stats = serve(scenario, cache=ResultCache(0))
         assert stats["solved_queries"] == 1
         assert stats["batched_queries"] == 6
         first = results[0]["periods"]
@@ -313,19 +317,21 @@ class TestServer:
         assert stats["solved_queries"] == 1
         assert stats["cache"]["hits"] == 3
 
-    def test_overload_reject_sheds_newcomers(self):
+    def test_overload_reject_sheds_newcomers(self, held_batcher):
         async def scenario(server, host, port):
             clients = [await ServiceClient.connect(host, port) for _ in range(5)]
             try:
-                outcomes = await asyncio.gather(
-                    *[
-                        client.estimate(
-                            [names()[index % 4]], gallery=GALLERY
-                        )
-                        for index, client in enumerate(clients)
-                    ],
-                    return_exceptions=True,
-                )
+                async with held_batcher(server, len(clients)):
+                    asked = asyncio.gather(
+                        *[
+                            client.estimate(
+                                [names()[index % 4]], gallery=GALLERY
+                            )
+                            for index, client in enumerate(clients)
+                        ],
+                        return_exceptions=True,
+                    )
+                outcomes = await asked
             finally:
                 for client in clients:
                     await client.aclose()
@@ -334,7 +340,6 @@ class TestServer:
         outcomes, stats = serve(
             scenario,
             max_pending=1,
-            batch_window=0.2,
             shed_policy="reject",
         )
         served = [o for o in outcomes if isinstance(o, dict)]
@@ -344,19 +349,21 @@ class TestServer:
         assert all("overloaded" in str(error) for error in shed)
         assert stats["shed"] == 4
 
-    def test_overload_evict_drops_the_oldest_pending(self):
+    def test_overload_evict_drops_the_oldest_pending(self, held_batcher):
         async def scenario(server, host, port):
             clients = [await ServiceClient.connect(host, port) for _ in range(4)]
             try:
-                outcomes = await asyncio.gather(
-                    *[
-                        client.estimate(
-                            [names()[index % 4]], gallery=GALLERY
-                        )
-                        for index, client in enumerate(clients)
-                    ],
-                    return_exceptions=True,
-                )
+                async with held_batcher(server, len(clients)):
+                    asked = asyncio.gather(
+                        *[
+                            client.estimate(
+                                [names()[index % 4]], gallery=GALLERY
+                            )
+                            for index, client in enumerate(clients)
+                        ],
+                        return_exceptions=True,
+                    )
+                outcomes = await asked
             finally:
                 for client in clients:
                     await client.aclose()
@@ -365,7 +372,6 @@ class TestServer:
         outcomes, stats = serve(
             scenario,
             max_pending=1,
-            batch_window=0.2,
             shed_policy="evict",
         )
         served = [o for o in outcomes if isinstance(o, dict)]
@@ -376,18 +382,18 @@ class TestServer:
         assert stats["evicted"] == 3
         assert stats["shed"] == 0
 
-    def test_overload_downgrade_serves_a_cheaper_model(self):
+    def test_overload_downgrade_serves_a_cheaper_model(self, held_batcher):
         async def scenario(server, host, port):
             clients = [await ServiceClient.connect(host, port) for _ in range(4)]
             try:
-                results = await asyncio.gather(
-                    *[
-                        client.estimate(
-                            list(names()), gallery=GALLERY
-                        )
-                        for client in clients
-                    ]
-                )
+                async with held_batcher(server, len(clients)):
+                    asked = asyncio.gather(
+                        *[
+                            client.estimate(list(names()), gallery=GALLERY)
+                            for client in clients
+                        ]
+                    )
+                results = await asked
             finally:
                 for client in clients:
                     await client.aclose()
@@ -396,7 +402,6 @@ class TestServer:
         results, stats = serve(
             scenario,
             max_pending=1,
-            batch_window=0.2,
             shed_policy="downgrade",
             cache=ResultCache(0),
         )
@@ -418,24 +423,26 @@ class TestServer:
         for result in degraded:
             assert result["periods"] == reference.periods
 
-    def test_overload_downgrade_still_bounds_the_queue(self):
+    def test_overload_downgrade_still_bounds_the_queue(self, held_batcher):
         """A flood already at the degraded model cannot grow the queue
         forever: with nothing cheaper to serve, the bound rejects."""
 
         async def scenario(server, host, port):
             clients = [await ServiceClient.connect(host, port) for _ in range(4)]
             try:
-                outcomes = await asyncio.gather(
-                    *[
-                        client.estimate(
-                            [names()[index % 4]],
-                            gallery=GALLERY,
-                            model="composability",
-                        )
-                        for index, client in enumerate(clients)
-                    ],
-                    return_exceptions=True,
-                )
+                async with held_batcher(server, len(clients)):
+                    asked = asyncio.gather(
+                        *[
+                            client.estimate(
+                                [names()[index % 4]],
+                                gallery=GALLERY,
+                                model="composability",
+                            )
+                            for index, client in enumerate(clients)
+                        ],
+                        return_exceptions=True,
+                    )
+                outcomes = await asked
             finally:
                 for client in clients:
                     await client.aclose()
@@ -444,7 +451,6 @@ class TestServer:
         outcomes, stats = serve(
             scenario,
             max_pending=1,
-            batch_window=0.2,
             shed_policy="downgrade",
             cache=ResultCache(0),
         )
@@ -493,7 +499,7 @@ class TestServer:
                 await second.aclose()
             return result, snapshots
 
-        result, snapshots = serve(scenario, batch_window=0.01)
+        result, snapshots = serve(scenario)
         assert result["periods"]
         assert all("pool" in snapshot for snapshot in snapshots)
 
@@ -554,20 +560,21 @@ class TestServer:
         assert stats["requests"] >= 3
         assert stats["shed_policy"] == "reject"
 
-    def test_graceful_shutdown_drains_pending_queries(self):
+    def test_graceful_shutdown_drains_pending_queries(self, held_batcher):
         async def scenario():
-            server = EstimationServer(batch_window=0.1)
+            server = EstimationServer()
             host, port = await server.start()
             clients = [await ServiceClient.connect(host, port) for _ in range(3)]
-            tasks = [
-                asyncio.ensure_future(
-                    client.estimate(
-                        [names()[index]], gallery=GALLERY
+            async with held_batcher(server, len(clients)):
+                tasks = [
+                    asyncio.ensure_future(
+                        client.estimate(
+                            [names()[index]], gallery=GALLERY
+                        )
                     )
-                )
-                for index, client in enumerate(clients)
-            ]
-            await asyncio.sleep(0.02)  # queries are enqueued, unsolved
+                    for index, client in enumerate(clients)
+                ]
+            # The queries are enqueued, unsolved.
             await server.aclose()
             results = await asyncio.gather(*tasks)
             for client in clients:
@@ -679,33 +686,33 @@ class TestServer:
         assert stats.solved_queries == len(use_cases)
         assert answers[-1]["batch_size"] == len(rest)
 
-    def test_one_client_can_pipeline_concurrent_queries(self):
+    def test_one_client_can_pipeline_concurrent_queries(self, held_batcher):
         use_cases = list(all_use_cases(names()))[:8]
 
         async def scenario(server, host, port):
             client = await ServiceClient.connect(host, port)
             try:
-                results = await asyncio.gather(
-                    *[
-                        client.estimate(
-                            use_case.applications, gallery=GALLERY
-                        )
-                        for use_case in use_cases
-                    ]
-                )
+                async with held_batcher(server, len(use_cases)):
+                    asked = asyncio.gather(
+                        *[
+                            client.estimate(
+                                use_case.applications, gallery=GALLERY
+                            )
+                            for use_case in use_cases
+                        ]
+                    )
+                results = await asked
             finally:
                 await client.aclose()
             return results, server.snapshot()
 
-        results, stats = serve(scenario, batch_window=0.05, cache=ResultCache(0))
+        results, stats = serve(scenario, cache=ResultCache(0))
         assert len(results) == len(use_cases)
         assert stats["batches"] < len(use_cases)
         for use_case, result in zip(use_cases, results):
             assert result["use_case"] == list(use_case.applications)
 
     def test_rejects_bad_configuration(self):
-        with pytest.raises(ServiceError):
-            EstimationServer(batch_window=-1)
         with pytest.raises(ServiceError):
             EstimationServer(max_batch=0)
         with pytest.raises(ServiceError):
@@ -727,8 +734,6 @@ class TestServeCLI:
                 "repro",
                 "serve",
                 "--stdio",
-                "--batch-window",
-                "1",
             ],
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
@@ -833,7 +838,6 @@ class TestServiceLoad:
                 clients=3,
                 queries_per_client=5,
                 gallery=GallerySpec(application_count=3),
-                batch_window=0.001,
             )
         )
         assert report.queries == 15

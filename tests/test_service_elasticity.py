@@ -50,9 +50,7 @@ def fleet(coroutine_factory, shards=2, **router_kwargs):
     """Run one async scenario against a fresh N-shard fleet."""
 
     async def scenario():
-        servers = [
-            EstimationServer(batch_window=0.01) for _ in range(shards)
-        ]
+        servers = [EstimationServer() for _ in range(shards)]
         addresses = [await server.start() for server in servers]
         router = ShardRouter(
             addresses, **dict({"health_interval": 0.0}, **router_kwargs)
@@ -100,8 +98,8 @@ class TestHashRingPreview:
 class TestCacheTransfer:
     def test_export_import_round_trip_is_a_warm_start(self):
         async def scenario():
-            source = EstimationServer(batch_window=0.0)
-            target = EstimationServer(batch_window=0.0)
+            source = EstimationServer()
+            target = EstimationServer()
             addresses = [await source.start(), await target.start()]
             a = await ServiceClient.connect(*addresses[0])
             b = await ServiceClient.connect(*addresses[1])
@@ -133,7 +131,7 @@ class TestCacheTransfer:
 
     def test_import_rejects_malformed_entries(self):
         async def scenario():
-            server = EstimationServer(batch_window=0.0)
+            server = EstimationServer()
             host, port = await server.start()
             client = await ServiceClient.connect(host, port)
             try:
@@ -152,7 +150,7 @@ class TestCacheTransfer:
 class TestEstimateBatchOp:
     def test_batch_answers_match_single_estimates(self):
         async def scenario():
-            server = EstimationServer(batch_window=0.005)
+            server = EstimationServer()
             host, port = await server.start()
             client = await ServiceClient.connect(host, port)
             try:
@@ -178,7 +176,7 @@ class TestEstimateBatchOp:
 
     def test_batch_validation_is_loud(self):
         async def scenario():
-            server = EstimationServer(batch_window=0.0)
+            server = EstimationServer()
             host, port = await server.start()
             client = await ServiceClient.connect(host, port)
             try:
@@ -202,9 +200,7 @@ class TestEstimateBatchOp:
 class TestJoin:
     def test_join_warms_the_joiner_with_its_key_space(self):
         async def scenario():
-            servers = [
-                EstimationServer(batch_window=0.01) for _ in range(3)
-            ]
+            servers = [EstimationServer() for _ in range(3)]
             addresses = [await server.start() for server in servers]
             router = ShardRouter(addresses[:2], health_interval=0.0)
             address = await router.start()
@@ -264,7 +260,7 @@ class TestJoin:
             with pytest.raises(ServiceError, match="already part"):
                 await client.join(f"{addresses[0][0]}:{addresses[0][1]}")
             # A server that no longer listens cannot join.
-            ghost = EstimationServer(batch_window=0.0)
+            ghost = EstimationServer()
             host, port = await ghost.start()
             await ghost.aclose()
             with pytest.raises(ServiceError, match="unreachable"):
@@ -316,9 +312,7 @@ class TestLeave:
 
     def test_health_loop_does_not_resurrect_a_left_shard(self):
         async def scenario():
-            servers = [
-                EstimationServer(batch_window=0.01) for _ in range(2)
-            ]
+            servers = [EstimationServer() for _ in range(2)]
             addresses = [await server.start() for server in servers]
             router = ShardRouter(addresses, health_interval=0.05)
             address = await router.start()
@@ -384,7 +378,7 @@ class TestLeave:
 
     def test_router_verbs_are_rejected_by_a_plain_server(self):
         async def scenario():
-            server = EstimationServer(batch_window=0.0)
+            server = EstimationServer()
             host, port = await server.start()
             client = await ServiceClient.connect(host, port)
             try:
@@ -437,14 +431,10 @@ class TestReplication:
         assert stats["replications"] == 0
 
     def test_rejects_bad_elasticity_configuration(self):
-        with pytest.raises(ServiceError, match="batch_window"):
-            ShardRouter([("h", 1)], batch_window=-0.1)
         with pytest.raises(ServiceError, match="replication"):
             ShardRouter([("h", 1)], replication=-1)
         with pytest.raises(ServiceError, match="handoff_limit"):
             ShardRouter([("h", 1)], handoff_limit=-1)
-        with pytest.raises(ServiceError, match="max_batch"):
-            ShardRouter([("h", 1)], max_batch=0)
 
 
 # ----------------------------------------------------------------------
@@ -547,7 +537,7 @@ class TestRouterMicroBatching:
             )
             return plan, results, router.snapshot()
 
-        plan, results, stats = fleet(scenario, batch_window=0.05)
+        plan, results, stats = fleet(scenario)
         assert stats["batched_queries"] == len(plan)
         assert stats["batches"] >= 1
         # Dedup: 12 client questions are only 4 distinct queries.
@@ -558,23 +548,71 @@ class TestRouterMicroBatching:
             assert result["trace"] == trace  # per-member echo
             assert "shard" in result
 
+    def test_a_lone_query_is_forwarded_after_one_loop_turn(self):
+        """No window: the first query of a group yields one event-loop
+        turn for same-group arrivals, then forwards."""
+        sleeps = []
+        real_sleep = asyncio.sleep
+
+        async def recording_sleep(delay, *args, **kwargs):
+            sleeps.append(delay)
+            return await real_sleep(delay, *args, **kwargs)
+
+        async def scenario(client, router, servers, addresses):
+            asyncio.sleep = recording_sleep
+            try:
+                answer = await client.estimate([names()[0]], gallery=GALLERY)
+            finally:
+                asyncio.sleep = real_sleep
+            return answer, router.snapshot()
+
+        answer, stats = fleet(scenario)
+        assert answer["periods"]
+        assert sleeps == [0]
+        assert (stats["batches"], stats["batched_queries"]) == (1, 1)
+
+    def test_pipelined_same_group_estimates_ride_one_hop(self):
+        """Estimates pipelined on one connection in one loop turn reach
+        the router in one read and share one framed hop."""
+
+        async def scenario(client, router, servers, addresses):
+            results = await asyncio.gather(
+                *[client.estimate([name], gallery=GALLERY) for name in names()]
+            )
+            return results, router.snapshot()
+
+        results, stats = fleet(scenario)
+        assert [result["use_case"] for result in results] == [
+            [name] for name in names()
+        ]
+        assert stats["batches"] == 1
+        assert stats["batched_queries"] == len(names())
+
     def test_batched_answers_match_unbatched(self):
-        def ask(batch_window):
-            async def scenario(client, router, servers, addresses):
-                return await asyncio.gather(
-                    *[
-                        client.estimate([name], gallery=GALLERY)
-                        for name in names()
-                    ]
-                )
+        """Coalesced answers equal one-hop-per-query answers bit for
+        bit."""
 
-            return fleet(scenario, batch_window=batch_window)
+        def answer(result):
+            return result["use_case"], result["periods"], result["isolation"]
 
-        unbatched = ask(0.0)
-        batched = ask(0.02)
-        for a, b in zip(unbatched, batched):
-            assert a["use_case"] == b["use_case"]
-            assert_parity(b, a)
+        async def one_at_a_time(client, router, servers, addresses):
+            results = [
+                await client.estimate([name], gallery=GALLERY)
+                for name in names()
+            ]
+            return results, router.snapshot()
+
+        async def coalesced(client, router, servers, addresses):
+            results = await asyncio.gather(
+                *[client.estimate([name], gallery=GALLERY) for name in names()]
+            )
+            return results, router.snapshot()
+
+        unbatched, unbatched_stats = fleet(one_at_a_time)
+        batched, batched_stats = fleet(coalesced)
+        assert unbatched_stats["batches"] == len(names())
+        assert batched_stats["batches"] < len(names())
+        assert [answer(r) for r in batched] == [answer(r) for r in unbatched]
 
     def test_estimate_batch_through_the_router(self):
         async def scenario(client, router, servers, addresses):
@@ -617,7 +655,7 @@ class TestRouterMicroBatching:
             )
             return reference, home, results, router.snapshot()
 
-        reference, home, results, stats = fleet(scenario, batch_window=0.02)
+        reference, home, results, stats = fleet(scenario)
         for expected, result in zip(reference, results):
             assert result["shard"] != home
             assert_parity(result, expected)
@@ -635,9 +673,7 @@ class TestElasticityUnderLoad:
         reference bit for bit."""
 
         async def scenario():
-            servers = [
-                EstimationServer(batch_window=0.005) for _ in range(3)
-            ]
+            servers = [EstimationServer() for _ in range(3)]
             addresses = [await server.start() for server in servers]
             router = ShardRouter(addresses[:2], health_interval=0.1)
             address = await router.start()
@@ -726,7 +762,6 @@ class TestElasticityUnderLoad:
                 queries_per_client=8,
                 shards=2,
                 churn=True,
-                router_batch_window=0.002,
                 gallery=GallerySpec(application_count=4),
             )
         )

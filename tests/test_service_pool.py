@@ -212,10 +212,9 @@ class TestWorkerModeServer:
             finally:
                 await client.aclose()
 
-        threaded = serve(ask_all, batch_window=0.05)
+        threaded = serve(ask_all)
         pooled = serve(
             ask_all,
-            batch_window=0.05,
             solver_workers=2,
             split_threshold=1,
         )
@@ -232,7 +231,7 @@ class TestWorkerModeServer:
             finally:
                 await client.aclose()
 
-        stats = serve(scenario, batch_window=0.0, solver_workers=2)
+        stats = serve(scenario, solver_workers=2)
         view = stats["workers"]
         assert view["workers"] == 2
         assert view["respawns"] == 0
@@ -245,26 +244,24 @@ class TestWorkerModeServer:
         assert spawned[0]["galleries"] == ["paper:2007:4"]
 
     def test_graceful_shutdown_drains_pool_to_real_answers(
-        self, many_cpus
+        self, many_cpus, held_batcher
     ):
         """Shutdown with queries in flight: every future drains to a
         real answer and every worker process is joined."""
 
         async def scenario():
-            server = EstimationServer(
-                batch_window=0.2, solver_workers=2, split_threshold=1
-            )
+            server = EstimationServer(solver_workers=2, split_threshold=1)
             host, port = await server.start()
             client = await ServiceClient.connect(host, port)
             control = await ServiceClient.connect(host, port)
             try:
-                pending = [
-                    asyncio.ensure_future(
-                        client.estimate([name], gallery=GALLERY)
-                    )
-                    for name in names()
-                ]
-                await asyncio.sleep(0.05)  # let them enter the queue
+                async with held_batcher(server, len(names())):
+                    pending = [
+                        asyncio.ensure_future(
+                            client.estimate([name], gallery=GALLERY)
+                        )
+                        for name in names()
+                    ]
                 await control.shutdown()
                 results = await asyncio.gather(*pending)
             finally:
@@ -284,64 +281,67 @@ class TestWorkerModeServer:
 # Concurrency fix: disconnect reaping
 # ----------------------------------------------------------------------
 class TestDisconnectReaping:
-    def test_disconnected_clients_queries_are_dropped_eagerly(self):
+    def test_disconnected_clients_queries_are_dropped_eagerly(
+        self, held_batcher
+    ):
         """A client that vanishes mid-batch must not occupy
         ``max_pending``: its entries are reaped on disconnect, so the
         next client's queries are admitted, not shed."""
 
         async def scenario(server, host, port):
-            # A ghost client files one query and vanishes before the
-            # (long) batch window fires.
-            _, writer = await asyncio.open_connection(host, port)
-            writer.write(
-                encode_message(
-                    {
-                        "id": 1,
-                        "op": "estimate",
-                        "gallery": GALLERY,
-                        "use_case": [names()[0]],
-                    }
-                )
-            )
-            await writer.drain()
-            writer.close()
-            await asyncio.sleep(0.1)  # server observes the disconnect
-            # With max_pending=2, both live queries only fit if the
-            # ghost's entry was reaped.
             client = await ServiceClient.connect(host, port)
             try:
-                results = await asyncio.gather(
-                    client.estimate([names()[1]], gallery=GALLERY),
-                    client.estimate([names()[2]], gallery=GALLERY),
-                )
+                # The batcher is held: the ghost client files one query
+                # and vanishes before any batch drains.
+                async with held_batcher(server, 3):
+                    _, writer = await asyncio.open_connection(host, port)
+                    writer.write(
+                        encode_message(
+                            {
+                                "id": 1,
+                                "op": "estimate",
+                                "gallery": GALLERY,
+                                "use_case": [names()[0]],
+                            }
+                        )
+                    )
+                    await writer.drain()
+                    writer.close()
+                    await asyncio.sleep(0.1)  # server observes the disconnect
+                    # With max_pending=2, both live queries only fit if
+                    # the ghost's entry was reaped.
+                    asked = asyncio.gather(
+                        client.estimate([names()[1]], gallery=GALLERY),
+                        client.estimate([names()[2]], gallery=GALLERY),
+                    )
+                results = await asked
             finally:
                 await client.aclose()
             return results, server.snapshot()
 
-        results, stats = serve(
-            scenario, batch_window=0.5, max_pending=2
-        )
+        results, stats = serve(scenario, max_pending=2)
         assert all(result["periods"] for result in results)
         assert stats["disconnects"] == 1
         assert stats["shed"] == 0
         # The reaped query was never solved on the ghost's behalf.
         assert stats["solved_queries"] == 2
 
-    def test_live_connection_is_not_reaped(self):
+    def test_live_connection_is_not_reaped(self, held_batcher):
         async def scenario(server, host, port):
             client = await ServiceClient.connect(host, port)
             other = await ServiceClient.connect(host, port)
             try:
-                pending = asyncio.ensure_future(
-                    client.estimate([names()[0]], gallery=GALLERY)
-                )
-                await asyncio.sleep(0.05)
-                await other.aclose()  # a *different* client leaves
+                async with held_batcher(server, 1):
+                    pending = asyncio.ensure_future(
+                        client.estimate([names()[0]], gallery=GALLERY)
+                    )
+                    await other.aclose()  # a *different* client leaves
+                    await asyncio.sleep(0.05)
                 result = await pending
             finally:
                 await client.aclose()
             return result, server.snapshot()
 
-        result, stats = serve(scenario, batch_window=0.2)
+        result, stats = serve(scenario)
         assert result["periods"]
         assert stats["disconnects"] == 0

@@ -123,9 +123,7 @@ def fleet(coroutine_factory, shards=2, **router_kwargs):
     """Run one async scenario against a fresh N-shard fleet."""
 
     async def scenario():
-        servers = [
-            EstimationServer(batch_window=0.01) for _ in range(shards)
-        ]
+        servers = [EstimationServer() for _ in range(shards)]
         addresses = [await server.start() for server in servers]
         router = ShardRouter(
             addresses, **dict({"health_interval": 0.0}, **router_kwargs)
@@ -167,7 +165,7 @@ class TestShardRouter:
 
         # Parity against a single un-routed server on the same queries.
         async def direct_scenario():
-            server = EstimationServer(batch_window=0.01)
+            server = EstimationServer()
             host, port = await server.start()
             client = await ServiceClient.connect(host, port)
             try:
@@ -243,7 +241,7 @@ class TestShardRouter:
 
     def test_shutdown_op_stops_the_router_not_the_shards(self):
         async def scenario():
-            servers = [EstimationServer(batch_window=0.01) for _ in range(2)]
+            servers = [EstimationServer() for _ in range(2)]
             addresses = [await server.start() for server in servers]
             router = ShardRouter(addresses, health_interval=0.0)
             address = await router.start()
@@ -324,7 +322,7 @@ class TestFailover:
 
     def test_health_loop_resurrects_a_returned_shard(self):
         async def scenario():
-            servers = [EstimationServer(batch_window=0.01) for _ in range(2)]
+            servers = [EstimationServer() for _ in range(2)]
             addresses = [await server.start() for server in servers]
             router = ShardRouter(addresses, health_interval=0.05)
             address = await router.start()
@@ -341,7 +339,7 @@ class TestFailover:
                     assert asyncio.get_running_loop().time() < deadline
                     await asyncio.sleep(0.02)
                 # The shard comes back on the same port...
-                servers[0] = EstimationServer(batch_window=0.01)
+                servers[0] = EstimationServer()
                 await servers[0].start(
                     host=addresses[0][0], port=addresses[0][1]
                 )
@@ -375,7 +373,7 @@ class TestFailover:
         so an estimate hung on it fails over to the live shard."""
 
         async def scenario():
-            server = EstimationServer(batch_window=0.01)
+            server = EstimationServer()
             live = await server.start()
             held = []
 

@@ -666,30 +666,30 @@ class TestServiceTelemetry:
         assert "service.queue_wait" in stamped
         assert "service.solve" in stamped
 
-    def test_pipelined_traces_never_cross_contaminate(self):
+    def test_pipelined_traces_never_cross_contaminate(self, held_batcher):
         count = 8
 
         async def scenario(server, host, port):
             clients = [await ServiceClient.connect(host, port) for _ in range(3)]
             try:
-                results = await asyncio.gather(
-                    *[
-                        clients[index % len(clients)].estimate(
-                            [names()[index % 4]],
-                            gallery=GALLERY,
-                            trace=f"client-{index}",
-                        )
-                        for index in range(count)
-                    ]
-                )
+                async with held_batcher(server, count):
+                    asked = asyncio.gather(
+                        *[
+                            clients[index % len(clients)].estimate(
+                                [names()[index % 4]],
+                                gallery=GALLERY,
+                                trace=f"client-{index}",
+                            )
+                            for index in range(count)
+                        ]
+                    )
+                results = await asked
             finally:
                 for client in clients:
                     await client.aclose()
             return results, server.snapshot(), server.tracer.spans()
 
-        results, stats, spans = serve(
-            scenario, batch_window=0.05, cache=ResultCache(0)
-        )
+        results, stats, spans = serve(scenario, cache=ResultCache(0))
         # Every answer carries exactly the id its request sent, even
         # though the questions were batched, grouped and deduplicated.
         for index, result in enumerate(results):
@@ -783,8 +783,6 @@ class TestStdioTrace:
                 "repro",
                 "serve",
                 "--stdio",
-                "--batch-window",
-                "1",
             ],
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
