@@ -381,6 +381,61 @@ def test_service_cache_turns_repeats_into_hits(benchmark):
     )
 
 
+def test_routed_hit_round_trip(benchmark):
+    """Microseconds per routed cache hit, one request in flight.
+
+    A router over two shards, every answer already cached: what is
+    left is the serving path itself — client framing, the router's
+    parse and coalescing turn, the shard hop, the cache lookup and the
+    way back.  No bar; the number tracks the protocol layers."""
+    from repro.service.router import ShardRouter
+
+    rounds = 200 if SMOKE else 2000
+
+    async def run():
+        shards = [EstimationServer() for _ in range(2)]
+        addresses = [await shard.start() for shard in shards]
+        router = ShardRouter(addresses, health_interval=0.0)
+        host, port = await router.start()
+        gallery = {"applications": APPLICATIONS}
+        use_cases = [
+            use_case.applications
+            for use_case in all_use_cases(GALLERY.application_names())
+        ][:64]
+        client = await ServiceClient.connect(host, port)
+        try:
+            for apps in use_cases:  # fill both the cache and the replicas
+                await client.estimate(apps, gallery=gallery)
+            started = time.perf_counter()
+            for index in range(rounds):
+                answer = await client.estimate(
+                    use_cases[index % len(use_cases)], gallery=gallery
+                )
+                assert answer["cached"] is True
+            elapsed = time.perf_counter() - started
+        finally:
+            await client.aclose()
+            await router.aclose()
+            for shard in shards:
+                await shard.aclose()
+        return elapsed
+
+    elapsed = benchmark.pedantic(lambda: asyncio.run(run()), rounds=1, iterations=1)
+    per_hit_us = elapsed / rounds * 1e6
+    benchmark.extra_info["routed_hit_us"] = round(per_hit_us, 1)
+    report(
+        "service_routed_hit",
+        render_table(
+            ["quantity", "value"],
+            [
+                ["routed cache hits", rounds],
+                ["per hit, one in flight", f"{per_hit_us:.0f} us"],
+            ],
+            title="Estimation service - routed cache hit round trip (2 shards)",
+        ),
+    )
+
+
 def _smoke_or_full(value, smoke_value):
     return smoke_value if SMOKE else value
 
@@ -455,13 +510,16 @@ def test_router_batching_speedup(benchmark, monkeypatch):
         gallery=GallerySpec(application_count=4),
     )
 
-    async def one_hop_per_query(router, queries, trace_id):
+    def one_hop_per_query(router, queries, trace_id):
         loop = asyncio.get_running_loop()
         members = [
             _RoutedQuery(query=query, trace_id=trace_id, future=loop.create_future())
             for query in queries
         ]
-        await asyncio.gather(*[router._forward_group([m]) for m in members])
+        for member in members:
+            task = loop.create_task(router._forward_group([member]))
+            router._hop_tasks.add(task)
+            task.add_done_callback(router._hop_tasks.discard)
         return [member.future for member in members]
 
     def run():

@@ -1116,8 +1116,7 @@ def _cmd_serve(arguments) -> None:
                     f"metrics on http://{mhost}:{mport}/metrics", flush=True
                 )
             if arguments.stdio:
-                reader, writer = await _stdio_streams()
-                await server.serve_stdio(reader, writer)
+                await server.serve_stdio()
                 return
             host, port = await server.start(arguments.host, arguments.port)
             print(f"serving on {host}:{port}", flush=True)
@@ -1249,22 +1248,6 @@ def _cmd_metrics(arguments) -> None:
         print(json.dumps(result["snapshot"], indent=2, sort_keys=True))
     else:
         print(result["exposition"], end="")
-
-
-async def _stdio_streams():
-    """Wrap this process's stdin/stdout as an asyncio stream pair."""
-    import asyncio
-
-    loop = asyncio.get_running_loop()
-    reader = asyncio.StreamReader(limit=2 * 1024 * 1024)
-    await loop.connect_read_pipe(
-        lambda: asyncio.StreamReaderProtocol(reader), sys.stdin
-    )
-    transport, protocol = await loop.connect_write_pipe(
-        asyncio.streams.FlowControlMixin, sys.stdout
-    )
-    writer = asyncio.StreamWriter(transport, protocol, reader, loop)
-    return reader, writer
 
 
 def _cmd_runtime(arguments) -> None:

@@ -1,15 +1,15 @@
 """Client library of the estimation service.
 
-:class:`ServiceClient` wraps one connection's request/response cycle:
-each call sends one JSON line, awaits the matching response (ids are
-checked) and either returns the ``result`` payload or raises
+:class:`ServiceClient` is one connection, an :class:`asyncio.Protocol`:
+each call sends one JSON line and awaits the future its response is
+filed into by id, then returns the ``result`` payload or raises
 :class:`~repro.exceptions.ServiceError` with the server's message.
 Micro-batching needs *concurrent* questions, which one strictly
 sequential client cannot produce — open several clients (see
 :mod:`repro.experiments.service_load`) or interleave calls from
-multiple coroutines via :meth:`estimate`, which is safe to invoke
-concurrently from one client: requests are pipelined on the socket and
-responses are matched back by id.
+multiple coroutines on one client: requests pipeline on the socket and
+answers may come in any order.  A lost connection fails every pending
+call with :class:`~repro.exceptions.ServiceConnectionError`.
 
 The convenience :func:`estimate_once` does connect / ask / close in one
 call for scripts and tests.
@@ -23,79 +23,94 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.exceptions import ServiceConnectionError, ServiceError
 from repro.service.protocol import (
+    LineProtocol,
     decode_message,
     encode_message,
     raise_for_response,
 )
 
 
-class ServiceClient:
+class ServiceClient(LineProtocol):
     """One connection to an :class:`~repro.service.server
-    .EstimationServer`."""
+    .EstimationServer` (or a :class:`~repro.service.router.ShardRouter`)."""
 
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        self._reader = reader
-        self._writer = writer
+    def __init__(self) -> None:
+        super().__init__()
+        self._transport: Optional[asyncio.Transport] = None
         self._ids = itertools.count(1)
-        self._lock = asyncio.Lock()
-        self._responses: Dict[int, Dict[str, object]] = {}
+        self._waiting: Dict[int, "asyncio.Future[Dict[str, object]]"] = {}
+        self._writable: Optional["asyncio.Future[None]"] = None
+        self._closed = asyncio.get_running_loop().create_future()
 
     @classmethod
     async def connect(cls, host: str, port: int) -> "ServiceClient":
-        # Match the server's read limit: responses are bounded by the
-        # protocol's MAX_MESSAGE_BYTES (1 MiB), well above asyncio's
-        # default 64 KiB readline limit.
-        reader, writer = await asyncio.open_connection(
-            host, port, limit=2 * 1024 * 1024
-        )
-        return cls(reader, writer)
+        loop = asyncio.get_running_loop()
+        return (await loop.create_connection(cls, host, port))[1]
 
     async def aclose(self) -> None:
-        try:
-            self._writer.close()
-            await self._writer.wait_closed()
-        except (ConnectionError, BrokenPipeError):
-            pass
+        self._transport.close()  # type: ignore[union-attr]
+        await self._closed
 
-    # ------------------------------------------------------------------
-    async def _call(self, payload: Dict[str, object]) -> Dict[str, object]:
-        request_id = next(self._ids)
-        payload = dict(payload, id=request_id)
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport  # type: ignore[assignment]
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        reason = f"connection lost while awaiting a response: {exc}"
+        if exc is None:
+            reason = "connection closed before a response arrived"
+        self._fail(ServiceConnectionError(reason))
+        self.resume_writing()
+        self._closed.set_result(None)
+
+    def pause_writing(self) -> None:
+        self._writable = asyncio.get_running_loop().create_future()
+
+    def resume_writing(self) -> None:
+        writable, self._writable = self._writable, None
+        if writable is not None:
+            writable.set_result(None)
+
+    def line_received(self, line: bytearray) -> None:
         try:
-            self._writer.write(encode_message(payload))
-            await self._writer.drain()
-        except (ConnectionError, BrokenPipeError) as error:
-            raise ServiceConnectionError(
-                f"connection lost while sending a request: {error}"
-            ) from None
-        # One coroutine at a time reads the socket and files responses
-        # by id; everyone else waits for theirs to be filed.  This lets
-        # several coroutines share one client (pipelined requests)
-        # without a background reader task.
-        while request_id not in self._responses:
-            async with self._lock:
-                if request_id in self._responses:
-                    break
-                try:
-                    line = await self._reader.readline()
-                except (ConnectionError, BrokenPipeError) as error:
-                    raise ServiceConnectionError(
-                        f"connection lost while awaiting a response: {error}"
-                    ) from None
-                if not line:
-                    raise ServiceConnectionError(
-                        "connection closed before a response arrived"
-                    )
-                response = decode_message(line)
-                answered = response.get("id")
-                if not isinstance(answered, int):
-                    raise ServiceError(f"response with unexpected id {answered!r}")
-                self._responses[answered] = response
-        return raise_for_response(self._responses.pop(request_id))
+            response = decode_message(line)
+            answered = response.get("id")
+            if not isinstance(answered, int):
+                raise ServiceError(f"response with unexpected id {answered!r}")
+        except ServiceError as error:
+            return self._fail(error)
+        future = self._waiting.pop(answered, None)
+        if future is not None and not future.done():
+            future.set_result(response)
+
+    def line_overrun(self) -> None:
+        self._fail(ServiceError("response line too long"))
+
+    def _fail(self, error: ServiceError) -> None:
+        """Fail every pending call and drop the connection: after a lost
+        transport or a garbled response no later line can be trusted to
+        answer the id it names."""
+        if not self._stopped:
+            self._stopped = True
+            self._transport.close()  # type: ignore[union-attr]
+        waiting, self._waiting = self._waiting, {}
+        for future in waiting.values():
+            if not future.done():
+                future.set_exception(error)
+
+    async def _call(self, payload: Dict[str, object]) -> Dict[str, object]:
+        if self._stopped:
+            raise ServiceConnectionError("connection closed before a response arrived")
+        request_id = next(self._ids)
+        data = encode_message(dict(payload, id=request_id))
+        future = self._waiting[request_id] = asyncio.get_running_loop().create_future()
+        self._transport.write(data)  # type: ignore[union-attr]
+        try:
+            if self._writable is not None:
+                await self._writable
+            response = await future
+        finally:
+            self._waiting.pop(request_id, None)
+        return raise_for_response(response)
 
     # ------------------------------------------------------------------
     async def ping(self) -> Dict[str, object]:

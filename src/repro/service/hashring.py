@@ -127,15 +127,17 @@ class HashRing:
         """
         if not self._points:
             raise ServiceError("hash ring has no nodes")
-        position = stable_hash(key)
-        start = bisect.bisect_right(self._points, position)
+        points = self._points
+        count = len(points)
+        start = bisect.bisect_right(points, stable_hash(key))
         ordered: List[str] = []
-        seen = set()
-        for offset in range(len(self._points)):
-            node = self._owners[
-                self._points[(start + offset) % len(self._points)]
-            ]
-            if node not in seen:
-                seen.add(node)
+        live = len(self._nodes)
+        # The walk stops once every live node is listed; the bound only
+        # matters for a node whose every point collided away.
+        for index in range(start, start + count):
+            node = self._owners[points[index % count]]
+            if node not in ordered:
                 ordered.append(node)
+                if len(ordered) == live:
+                    break
         return ordered

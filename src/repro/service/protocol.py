@@ -49,17 +49,20 @@ Responses::
     {"id": 2, "ok": false, "error": "..."}
 
 :class:`JsonLinesEndpoint` is the one front end speaking this protocol
-for both the server and the router: listener, per-connection read loop
-and op dispatch.
+for both the server and the router: listener, op dispatch and one
+:class:`JsonLinesConnection` (an :class:`asyncio.Protocol`) per TCP
+client or stdin/stdout pipe pair.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextvars
+import functools
+import inspect
 import json
 from dataclasses import dataclass
 from typing import (
-    Awaitable,
     Callable,
     Dict,
     List,
@@ -75,6 +78,7 @@ from repro.platform.usecase import UseCase
 from repro.runtime.service import GallerySpec, ResultStore
 from repro.sdf.analysis import AnalysisMethod
 from repro.telemetry import (
+    NULL_SPAN,
     MetricsRegistry,
     Tracer,
     get_registry,
@@ -105,11 +109,13 @@ MAX_TRACE_ID_LENGTH = 128
 #: dead transport and asks the next shard instead of passing it on.
 SHUTTING_DOWN = "server is shutting down"
 
+#: ``json.dumps`` with these arguments builds an encoder per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def encode_message(payload: Dict[str, object]) -> bytes:
     """One protocol message: compact JSON plus the line terminator."""
-    line = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    data = line.encode("utf-8") + b"\n"
+    data = _ENCODER.encode(payload).encode("utf-8") + b"\n"
     if len(data) > MAX_MESSAGE_BYTES:
         raise ServiceError(
             f"message of {len(data)} bytes exceeds the protocol bound "
@@ -177,7 +183,7 @@ class Query:
     model: str
     method: AnalysisMethod
 
-    @property
+    @functools.cached_property
     def key(self) -> Tuple[str, str, str, str]:
         """Cache key — the :class:`~repro.runtime.service.ResultStore`
         convention, so service cache entries and sweep store lines name
@@ -246,9 +252,9 @@ def _parse_use_case(raw_use_case: object, gallery: GallerySpec) -> UseCase:
 
 
 def _parse_model_and_method(
-    payload: Dict[str, object], gallery: GallerySpec
+    payload: Dict[str, object], gallery: GallerySpec, default_model: str
 ) -> Tuple[str, AnalysisMethod]:
-    model = str(payload.get("model", "second_order"))
+    model = str(payload.get("model", default_model))
     try:
         # One registry round-trip covers unknown names (the error
         # lists the registered catalogue), bad arguments ('order:x',
@@ -274,7 +280,7 @@ def parse_estimate(payload: Dict[str, object]) -> Query:
     """Validate an ``estimate`` payload into a :class:`Query`."""
     gallery = parse_gallery(payload.get("gallery"))
     use_case = _parse_use_case(payload.get("use_case"), gallery)
-    model, method = _parse_model_and_method(payload, gallery)
+    model, method = _parse_model_and_method(payload, gallery, "second_order")
     return Query(gallery=gallery, use_case=use_case, model=model, method=method)
 
 
@@ -297,7 +303,7 @@ def parse_estimate_batch(payload: Dict[str, object]) -> List[Query]:
             f"estimate_batch carries {len(raw_use_cases)} use-cases, "
             f"more than the protocol bound of {MAX_BATCH_USE_CASES}"
         )
-    model, method = _parse_model_and_method(payload, gallery)
+    model, method = _parse_model_and_method(payload, gallery, "second_order")
     return [
         Query(
             gallery=gallery,
@@ -390,13 +396,6 @@ class PlaceQuery:
     priority_levels: Optional[Tuple[float, ...]]
     method: AnalysisMethod
 
-    @property
-    def group(self) -> Tuple[str, str, str]:
-        """Shard-affinity key — same convention as estimate queries, so
-        a gallery's placements land on the shard holding its warm
-        engines."""
-        return (self.gallery.label(), self.model, self.method.value)
-
 
 def parse_place(payload: Dict[str, object]) -> PlaceQuery:
     """Validate a ``place`` payload into a :class:`PlaceQuery`.
@@ -425,11 +424,7 @@ def parse_place(payload: Dict[str, object]) -> PlaceQuery:
             f"unknown objective {objective!r} "
             f"(choose from {', '.join(OBJECTIVES)})"
         )
-    model = str(payload.get("model", "wrr"))
-    try:
-        validate_model_spec(model, applications)
-    except Exception as error:
-        raise ServiceError(f"bad waiting model: {error}") from None
+    model, method = _parse_model_and_method(payload, gallery, "wrr")
     raw_targets = payload.get("targets")
     targets: Optional[Dict[str, float]] = None
     if raw_targets is not None:
@@ -483,15 +478,6 @@ def parse_place(payload: Dict[str, object]) -> PlaceQuery:
             levels = tuple(float(value) for value in raw_levels)
         except (TypeError, ValueError) as error:
             raise ServiceError(f"bad priority level: {error}") from None
-    method_value = str(payload.get("method", "mcr"))
-    try:
-        method = AnalysisMethod(method_value)
-    except ValueError:
-        choices = ", ".join(m.value for m in AnalysisMethod)
-        raise ServiceError(
-            f"unknown analysis method {method_value!r} "
-            f"(choose from {choices})"
-        ) from None
     try:
         seed = int(payload.get("seed", 0))
         slack = float(payload.get("slack", 2.5))
@@ -562,24 +548,259 @@ def resolve_trace_id(payload: Dict[str, object]) -> Optional[str]:
     return trace_id
 
 
-#: An op handler: ``(payload, trace_id, connection token)`` in, the
-#: response's ``result`` out.
-Handler = Callable[[Dict[str, object], Optional[str], object], Awaitable[object]]
+#: An op handler: ``(payload, trace_id, connection)`` in; out comes the
+#: response's ``result`` or, when the answer must wait, an awaitable.
+Handler = Callable[[Dict[str, object], Optional[str], object], object]
+
+#: The longest line an endpoint buffers: a line between the message
+#: bound and this is refused as a request, a longer one ends the
+#: connection ("message too long").
+READ_LIMIT = 2 * MAX_MESSAGE_BYTES
+
+#: Size of a line protocol's reusable receive buffer.
+RECEIVE_BYTES = 1 << 14
+
+
+def settled(futures: Sequence["asyncio.Future[Dict[str, object]]"], finish):
+    """``finish()`` once every future is done: the value itself when
+    they already are (cache hits, refusals), else a future of it,
+    resolved by done callbacks rather than a task."""
+    waiting = [future for future in futures if not future.done()]
+    if not waiting:
+        return finish()
+    outcome = asyncio.get_running_loop().create_future()
+
+    def on_done(_: object) -> None:
+        waiting.pop()  # one callback per future: a countdown
+        if waiting or outcome.done():
+            return
+        try:
+            outcome.set_result(finish())
+        except asyncio.CancelledError:  # a member's client went away
+            outcome.cancel()
+        except Exception as error:
+            outcome.set_exception(error)
+
+    for future in waiting:
+        future.add_done_callback(on_done)
+    return outcome
+
+
+def member_results(futures) -> List[Dict[str, object]]:
+    """An ``estimate_batch`` answer's ``results``: each member's payload,
+    or ``{"error": ...}`` in the slot of one that failed."""
+    errors = [future.exception() for future in futures]
+    return [
+        {"error": str(error)} if error is not None else future.result()
+        for future, error in zip(futures, errors)
+    ]
+
+
+class LineProtocol(asyncio.BufferedProtocol):
+    """Newline framing over one reusable receive buffer.
+
+    A socket transport reads straight into the buffer; a plain
+    :class:`asyncio.Protocol` would get a fresh bytes object per read,
+    allocated at the transport's 256 KiB ``max_size``.  Pipe transports
+    call :meth:`data_received`, which copies into the same buffer.
+    Subclasses define ``line_received(line)`` and ``line_overrun()``
+    (over :data:`READ_LIMIT` bytes without a terminator) and set
+    ``_stopped`` to frame no further lines.
+    """
+
+    def __init__(self) -> None:
+        self._buffer = bytearray(RECEIVE_BYTES)
+        self._start = self._end = 0  # the received bytes not yet framed
+        self._stopped = False
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        # Only here may the buffer move or grow: the transport still
+        # holds the view it filled while buffer_updated runs.
+        buffer, wanted = self._buffer, max(sizehint, RECEIVE_BYTES // 4)
+        if len(buffer) - self._end < wanted:
+            kept = self._end - self._start
+            buffer[:kept] = buffer[self._start : self._end]
+            self._start, self._end = 0, kept
+            if len(buffer) - kept < wanted:
+                buffer.extend(bytes(max(len(buffer), wanted)))
+        elif self._end == 0 and len(buffer) > RECEIVE_BYTES:
+            del buffer[RECEIVE_BYTES:]  # shrink back after a long line
+        return memoryview(buffer)[self._end :]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        buffer = self._buffer
+        self._end += nbytes
+        while not self._stopped:
+            end = buffer.find(b"\n", self._start, self._end)
+            if end < 0:
+                break
+            if end - self._start > READ_LIMIT:
+                return self.line_overrun()
+            line = buffer[self._start : end + 1]
+            self._start = end + 1
+            self.line_received(line)
+        if self._stopped or self._start >= self._end:
+            self._start = self._end = 0
+        elif self._end - self._start > READ_LIMIT:
+            self.line_overrun()
+
+    def data_received(self, data: bytes) -> None:
+        self.get_buffer(len(data))[: len(data)] = data
+        self.buffer_updated(len(data))
+
+
+class JsonLinesConnection(LineProtocol):
+    """One client of a :class:`JsonLinesEndpoint`: a TCP socket, or a
+    read pipe and a write pipe (``--stdio``).
+
+    Each framed request is served in its own ``contextvars`` copy: a
+    transport reuses one context for every read callback, so without
+    it the span stacks of requests read together would nest.  A
+    handler's value is written before the read callback returns; an
+    awaitable answer is written by a done callback (a coroutine runs as
+    a task), so answers go out in completion order (clients match them
+    by id).  Any exception becomes an ``error_response`` and counts as an
+    error.  While the write buffer is past its high-water mark (a
+    client that stops reading), reading pauses.
+    """
+
+    def __init__(self, endpoint: "JsonLinesEndpoint") -> None:
+        super().__init__()
+        self._endpoint = endpoint
+        self._reader: Optional[asyncio.ReadTransport] = None
+        self._writer: Optional[asyncio.WriteTransport] = None
+        self._transports = 0
+        self._waiting: "set[asyncio.Future[object]]" = set()
+        #: Resolved once every transport of the connection is gone.
+        self.closed = asyncio.get_running_loop().create_future()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transports += 1
+        if isinstance(transport, asyncio.ReadTransport):
+            self._reader = transport
+        if isinstance(transport, asyncio.WriteTransport):
+            self._writer = transport
+        self._endpoint._connections.add(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._stop(disconnected=True)
+        self._transports -= 1
+        if self._transports == 0:
+            self._endpoint._connections.discard(self)
+            self.closed.set_result(None)
+
+    def eof_received(self) -> bool:
+        self._stop(disconnected=True)
+        return True  # closed by _stop once the answers in flight are out
+
+    def pause_writing(self) -> None:
+        if not self._stopped:
+            self._reader.pause_reading()  # type: ignore[union-attr]
+
+    def resume_writing(self) -> None:
+        if not self._stopped:
+            self._reader.resume_reading()  # type: ignore[union-attr]
+
+    def line_received(self, line: bytearray) -> None:
+        if line.strip():
+            contextvars.copy_context().run(self._serve, line)
+
+    def line_overrun(self) -> None:
+        self._write(error_response(None, "message too long"))
+        self._stop(disconnected=True)
+
+    def _serve(self, line: bytearray) -> None:
+        endpoint = self._endpoint
+        endpoint._count_request()
+        request_id: object = None
+        span = NULL_SPAN
+        try:
+            payload = decode_message(line)
+            request_id = resolve_request_id(payload)
+            trace_id = resolve_trace_id(payload)
+            op = payload.get("op")
+            span = endpoint.tracer.span(
+                endpoint._request_span, trace_id=trace_id, op=str(op)
+            )
+            span.__enter__()
+            handler = endpoint.operations.get(op) if isinstance(op, str) else None
+            if handler is None:
+                raise ServiceError(
+                    f"unknown op {op!r} "
+                    f"(expected one of {', '.join(endpoint.operations)})"
+                )
+            result = handler(payload, trace_id, self)
+        except Exception as error:
+            return self._answer(request_id, span, error=error)
+        if inspect.isawaitable(result):
+            future = asyncio.ensure_future(result)
+            self._waiting.add(future)
+            future.add_done_callback(functools.partial(self._settle, request_id, span))
+            return
+        self._answer(request_id, span, result)
+        if op == "shutdown":  # read no further; answer what is in flight
+            endpoint._stop.set()
+            self._stop(disconnected=False)
+
+    def _settle(self, request_id: object, span, future: "asyncio.Future") -> None:
+        self._waiting.discard(future)
+        if future.cancelled():  # the client went away with its queries
+            span.__exit__(None, None, None)
+        elif future.exception() is not None:
+            self._answer(request_id, span, error=future.exception())
+        else:
+            self._answer(request_id, span, future.result())
+        self._close_if_done()
+
+    def _answer(self, request_id, span, result=None, error=None) -> None:
+        span.__exit__(None, None, None)
+        if error is None:
+            return self._write(ok_response(request_id, result))
+        self._endpoint._count_error()
+        self._write(error_response(request_id, str(error)))
+
+    def _write(self, payload: Dict[str, object]) -> None:
+        writer = self._writer
+        if writer is None or writer.is_closing():
+            return  # the client went away; the answer has nowhere to go
+        try:
+            data = encode_message(payload)
+        except ServiceError as error:  # an answer over the message bound
+            data = encode_message(error_response(payload.get("id"), str(error)))
+        writer.write(data)
+
+    def _stop(self, disconnected: bool) -> None:
+        """Read no further (``shutdown``, an over-long line, EOF or a
+        lost transport).  A client that went away takes its queued
+        queries with it; the transport closes once the answers still in
+        flight are written."""
+        if not self._stopped:
+            self._stopped = True
+            self._start = self._end = 0
+            if self._reader is not None:
+                self._reader.pause_reading()
+        if disconnected:
+            self._endpoint._drop_disconnected(self)
+        self._close_if_done()
+
+    def _close_if_done(self) -> None:
+        if self._stopped and not self._waiting:
+            self.close()
+
+    def close(self) -> None:
+        for transport in (self._reader, self._writer):
+            if transport is not None:
+                transport.close()
 
 
 class JsonLinesEndpoint:
     """The JSON-lines front end shared by the server and the router.
 
-    It owns the TCP listener, the per-connection read loop, the op
-    dispatch and the ``metrics``/``shutdown`` ops; a subclass supplies
-    the op table, its metrics registry, its request and error counters,
-    and the name of the span every request is served in.
-
-    Requests on one connection run concurrently, one task per line, so
-    a client can pipeline questions and match answers back by id; a
-    per-connection lock keeps responses whole.  Any exception a handler
-    raises becomes an ``error_response`` and counts as an error: every
-    request gets *an* answer.
+    It owns the TCP listener, one :class:`JsonLinesConnection` per
+    client, the op dispatch and the ``metrics``/``shutdown`` ops; a
+    subclass supplies the op table, its metrics registry, its request
+    and error counters, and the name of the span every request is
+    served in.
     """
 
     def __init__(
@@ -599,7 +820,7 @@ class JsonLinesEndpoint:
         self._request_span = request_span
         self._stop = asyncio.Event()
         self._server: Optional[asyncio.AbstractServer] = None
-        self._writers: "set[asyncio.StreamWriter]" = set()
+        self._connections: "set[JsonLinesConnection]" = set()
         self._closing = False
         self.address: Optional[Tuple[str, int]] = None
 
@@ -608,17 +829,21 @@ class JsonLinesEndpoint:
         bound address."""
         if self._server is not None:
             raise ServiceError(f"{type(self).__name__} already started")
-        self._server = await asyncio.start_server(
-            self._serve_connection,
-            host=host,
-            port=port,
-            # Twice the message bound: an over-long line fails the read
-            # ("message too long") instead of growing the buffer.
-            limit=2 * MAX_MESSAGE_BYTES,
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: JsonLinesConnection(self), host=host, port=port
         )
         bound = self._server.sockets[0].getsockname()
         self.address = (bound[0], bound[1])
         return self.address
+
+    async def serve_pipes(self, read_pipe: object, write_pipe: object) -> None:
+        """Serve one connection over a pipe pair (the ``--stdio`` mode)
+        until EOF or ``shutdown``; answers in flight are written first."""
+        loop = asyncio.get_running_loop()
+        connection = JsonLinesConnection(self)
+        await loop.connect_write_pipe(lambda: connection, write_pipe)
+        await loop.connect_read_pipe(lambda: connection, read_pipe)
+        await connection.closed
 
     async def wait_shutdown(self) -> None:
         """Block until a client sends ``shutdown`` (or ``aclose``)."""
@@ -634,20 +859,16 @@ class JsonLinesEndpoint:
 
     async def _close_connections(self) -> None:
         """Close every client connection and the listener."""
-        for writer in list(self._writers):
-            try:
-                writer.close()
-            except (ConnectionError, BrokenPipeError):
-                pass
+        for connection in list(self._connections):
+            connection.close()
         if self._server is not None:
-            # On >= 3.12 this also waits for connection handlers; the
-            # transports just closed, so their readline sees EOF and
-            # every handler returns promptly.
+            # On >= 3.12 this also waits for the connections to close.
             await self._server.wait_closed()
             self._server = None
 
     def _drop_disconnected(self, conn: object) -> None:
-        """Hook: the connection with token ``conn`` stopped reading."""
+        """Hook: the connection ``conn`` went away (EOF, lost transport
+        or an over-long line); state its requests left can be reaped."""
 
     def render_metrics(self) -> str:
         """Prometheus exposition: this front end's registry merged with
@@ -658,130 +879,11 @@ class JsonLinesEndpoint:
         """JSON snapshot of the same merged registries."""
         return snapshot_merged(self.registry, get_registry())
 
-    async def _metrics(self, *_: object) -> Dict[str, object]:
+    def _metrics(self, *_: object) -> Dict[str, object]:
         return {
             "exposition": self.render_metrics(),
             "snapshot": self.metrics_snapshot(),
         }
 
-    async def _shutdown(self, *_: object) -> Dict[str, object]:
+    def _shutdown(self, *_: object) -> Dict[str, object]:
         return {"stopping": True}
-
-    async def _serve_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        self._writers.add(writer)
-        try:
-            await self._serve_stream(reader, writer)
-        finally:
-            self._writers.discard(writer)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):
-                pass
-
-    async def _serve_stream(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        """Serve one stream until EOF, ``shutdown`` or an over-long
-        line; requests still in flight are drained before returning."""
-        send_lock = asyncio.Lock()
-        tasks: "set[asyncio.Task[None]]" = set()
-        loop = asyncio.get_running_loop()
-        # Connection token handed to every handler, so state a request
-        # leaves behind can be reaped when the client goes away.
-        conn = object()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    # Line exceeded the stream limit: protocol abuse.
-                    await self._send(
-                        writer,
-                        error_response(None, "message too long"),
-                        send_lock,
-                    )
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    payload = decode_message(line)
-                except ServiceError as error:
-                    self._count_request()
-                    self._count_error()
-                    await self._send(
-                        writer, error_response(None, str(error)), send_lock
-                    )
-                    continue
-                request = self._serve_request(payload, writer, send_lock, conn)
-                if payload.get("op") == "shutdown":
-                    # Served inline so this read loop stops cleanly;
-                    # in-flight tasks still drain below.
-                    await request
-                    break
-                task = loop.create_task(request)
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-        except (ConnectionError, BrokenPipeError):
-            pass
-        finally:
-            self._drop_disconnected(conn)
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-
-    async def _serve_request(
-        self,
-        payload: Dict[str, object],
-        writer: asyncio.StreamWriter,
-        send_lock: asyncio.Lock,
-        conn: object,
-    ) -> None:
-        """Answer one decoded request through the op table."""
-        self._count_request()
-        request_id: object = None
-        op = payload.get("op")
-        try:
-            request_id = resolve_request_id(payload)
-            trace_id = resolve_trace_id(payload)
-            with self.tracer.span(self._request_span, trace_id=trace_id, op=str(op)):
-                handler = self.operations.get(op) if isinstance(op, str) else None
-                if handler is None:
-                    raise ServiceError(
-                        f"unknown op {op!r} "
-                        f"(expected one of {', '.join(self.operations)})"
-                    )
-                response = ok_response(
-                    request_id, await handler(payload, trace_id, conn)
-                )
-        except Exception as error:
-            self._count_error()
-            response = error_response(request_id, str(error))
-            op = None
-        try:
-            await self._send(writer, response, send_lock)
-        finally:
-            # An accepted shutdown stops the front end even when the
-            # requester vanished before reading the acknowledgement.
-            if op == "shutdown":
-                self._stop.set()
-
-    async def _send(
-        self,
-        writer: asyncio.StreamWriter,
-        payload: Dict[str, object],
-        send_lock: asyncio.Lock,
-    ) -> None:
-        async with send_lock:
-            try:
-                writer.write(encode_message(payload))
-                await writer.drain()
-            except (ConnectionError, BrokenPipeError):
-                pass  # the client went away; the response has nowhere to go

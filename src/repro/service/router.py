@@ -81,9 +81,11 @@ from repro.service.protocol import (
     SHUTTING_DOWN,
     JsonLinesEndpoint,
     Query,
+    member_results,
     parse_estimate,
     parse_estimate_batch,
     parse_place,
+    settled,
     unique_queries,
     wire_gallery,
 )
@@ -124,7 +126,6 @@ class _Shard:
     address: Tuple[str, int]
     client: Optional[ServiceClient] = None
     healthy: bool = True
-    failures: int = 0
     forwarded: int = 0
     lock: asyncio.Lock = field(default_factory=asyncio.Lock)
     #: Set when ``leave`` starts: a retiring shard never re-enters the
@@ -267,6 +268,7 @@ class ShardRouter(JsonLinesEndpoint):
             Tuple[str, str, str], List[_RoutedQuery]
         ] = {}
         self._replica_tasks: "set[asyncio.Task[None]]" = set()
+        self._hop_tasks: "set[asyncio.Task[None]]" = set()
         self._health_task: Optional["asyncio.Task[None]"] = None
         super().__init__(
             {
@@ -337,7 +339,6 @@ class ShardRouter(JsonLinesEndpoint):
 
     def _mark_down(self, shard: _Shard) -> None:
         """Remove a dead shard from the ring; its galleries re-home."""
-        shard.failures += 1
         if not shard.healthy:
             return
         shard.healthy = False
@@ -613,9 +614,10 @@ class ShardRouter(JsonLinesEndpoint):
         }
 
     # ------------------------------------------------------------------
-    # Operations: ``(payload, trace_id, conn)`` in, the result out
+    # Operations: ``(payload, trace_id, conn)`` in; the result out, or
+    # an awaitable of it when the answer waits for a shard
     # ------------------------------------------------------------------
-    async def _ping(self, *_: object) -> Dict[str, object]:
+    def _ping(self, *_: object) -> Dict[str, object]:
         return {
             "pong": True,
             "protocol": PROTOCOL_VERSION,
@@ -633,40 +635,34 @@ class ShardRouter(JsonLinesEndpoint):
     # ------------------------------------------------------------------
     # Forwarding
     # ------------------------------------------------------------------
-    async def _forward_estimate(
+    def _forward_estimate(
         self, payload: Dict[str, object], trace_id: Optional[str], conn: object
-    ) -> Dict[str, object]:
+    ) -> "asyncio.Future[Dict[str, object]]":
         # Validate at the edge (same contract as the server) — and the
         # parse yields the gallery label the ring hashes on.
-        (answer,) = await self._coalesce([parse_estimate(payload)], trace_id)
-        return await answer
+        (answer,) = self._coalesce([parse_estimate(payload)], trace_id)
+        return answer
 
-    async def _forward_estimate_batch(
+    def _forward_estimate_batch(
         self, payload: Dict[str, object], trace_id: Optional[str], conn: object
-    ) -> Dict[str, object]:
+    ) -> object:
         """A client-side ``estimate_batch`` through the router; failed
         members carry ``{"error": ...}`` in their slot."""
-        answers = await self._coalesce(parse_estimate_batch(payload), trace_id)
-        results: List[Dict[str, object]] = []
-        for answer in answers:
-            try:
-                results.append(await answer)
-            except ServiceError as error:
-                results.append({"error": str(error)})
-        return {"results": results}
+        answers = self._coalesce(parse_estimate_batch(payload), trace_id)
+        return settled(answers, lambda: {"results": member_results(answers)})
 
-    async def _coalesce(
+    def _coalesce(
         self, queries: List[Query], trace_id: Optional[str]
     ) -> List["asyncio.Future[Dict[str, object]]"]:
         """Queue one group's queries for a shard hop; returns the
         futures of their answers.
 
         The first query of a ``(gallery, model, method)`` group opens
-        the group's pending list and yields one event-loop turn, so the
-        same-group requests already read from any connection join it,
-        then forwards the list one ``estimate_batch`` hop per
-        :data:`MAX_BATCH` members.  A query arriving while the list is
-        open only joins it.
+        the group's pending list and starts the task that forwards it.
+        That task yields one event-loop turn first, so the same-group
+        requests read from any connection meanwhile join the list; it
+        then forwards one ``estimate_batch`` hop per :data:`MAX_BATCH`
+        members.
         """
         if self._closing:
             raise ServiceError("router is shutting down")
@@ -680,12 +676,17 @@ class ShardRouter(JsonLinesEndpoint):
         if pending is not None:
             pending.extend(members)
         else:
-            pending = self._pending[group] = list(members)
-            await asyncio.sleep(0)
-            del self._pending[group]
-            for start in range(0, len(pending), MAX_BATCH):
-                await self._forward_group(pending[start : start + MAX_BATCH])
+            self._pending[group] = list(members)
+            task = loop.create_task(self._forward_pending(group))
+            self._hop_tasks.add(task)
+            task.add_done_callback(self._hop_tasks.discard)
         return [member.future for member in members]
+
+    async def _forward_pending(self, group: Tuple[str, str, str]) -> None:
+        await asyncio.sleep(0)
+        pending = self._pending.pop(group)
+        for start in range(0, len(pending), MAX_BATCH):
+            await self._forward_group(pending[start : start + MAX_BATCH])
 
     async def _forward_group(self, members: List[_RoutedQuery]) -> None:
         """Forward one ``(gallery, model, method)`` group as a single
@@ -751,9 +752,6 @@ class ShardRouter(JsonLinesEndpoint):
                     member.future.set_exception(ServiceError(message))
             return
         by_key = dict(zip(unique.keys(), payloads))
-        for key, payload in by_key.items():
-            if "error" not in payload:
-                self._replicate(label, key, payload, exclude=shard.name)
         for member in members:
             if member.future.done():
                 continue
@@ -769,6 +767,10 @@ class ShardRouter(JsonLinesEndpoint):
             else:
                 answer.pop("trace", None)
             member.future.set_result(answer)
+        # After the answers: their writes are scheduled first.
+        for key, payload in by_key.items():
+            if "error" not in payload:
+                self._replicate(label, key, payload, exclude=shard.name)
 
     # ------------------------------------------------------------------
     # Replication
@@ -858,29 +860,8 @@ class ShardRouter(JsonLinesEndpoint):
                 gallery=label,
                 attempt=attempts,
             ):
-                client = await self._client(shard)
-                return await client.place(
-                    gallery=wire_gallery(query.gallery),
-                    strategy=query.strategy,
-                    model=query.model,
-                    objective=query.objective,
-                    seed=query.seed,
-                    slack=query.slack,
-                    targets=query.targets,
-                    mappings=list(query.mappings),
-                    weights=(
-                        list(query.weights)
-                        if query.weights is not None
-                        else None
-                    ),
-                    priority_levels=(
-                        list(query.priority_levels)
-                        if query.priority_levels is not None
-                        else None
-                    ),
-                    method=query.method.value,
-                    trace=trace_id,
-                )
+                # Validated above; the shard parses the same payload.
+                return await (await self._client(shard))._call(payload)
 
         shard, result = await self._failover(label, attempt)
         shard.forwarded += 1

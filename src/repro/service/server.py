@@ -37,6 +37,7 @@ On top of the batcher sit:
 from __future__ import annotations
 
 import asyncio
+import sys
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -59,11 +60,13 @@ from repro.service.protocol import (
     SHUTTING_DOWN,
     JsonLinesEndpoint,
     Query,
+    member_results,
     parse_cache_entries,
     parse_cache_export,
     parse_estimate,
     parse_estimate_batch,
     parse_place,
+    settled,
     unique_queries,
 )
 from repro.telemetry import COUNT_BUCKETS, MetricsRegistry, Tracer
@@ -423,16 +426,12 @@ class EstimationServer(JsonLinesEndpoint):
         self._ensure_running()
         return await super().start(host, port)
 
-    async def serve_stdio(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        """Serve one already-connected stream (the ``--stdio`` mode)
+    async def serve_stdio(self) -> None:
+        """Serve this process's stdin/stdout (the ``--stdio`` mode)
         until EOF or a ``shutdown`` request, then drain and stop."""
         self._ensure_running()
         try:
-            await self._serve_stream(reader, writer)
+            await self.serve_pipes(sys.stdin, sys.stdout)
         finally:
             await self.aclose()
 
@@ -486,20 +485,21 @@ class EstimationServer(JsonLinesEndpoint):
             self._pending.extend(survivors)
 
     # ------------------------------------------------------------------
-    # Operations: ``(payload, trace_id, conn)`` in, the result out
+    # Operations: ``(payload, trace_id, conn)`` in; the result out, or
+    # an awaitable of it when the answer waits for a solve
     # ------------------------------------------------------------------
-    async def _ping(self, *_: object) -> Dict[str, object]:
+    def _ping(self, *_: object) -> Dict[str, object]:
         return {"pong": True, "protocol": PROTOCOL_VERSION}
 
-    async def _estimate(
+    def _estimate(
         self, payload: Dict[str, object], trace_id: Optional[str], conn: object
-    ) -> Dict[str, object]:
-        result = await self._submit(parse_estimate(payload), trace_id, conn)
-        return _echo_trace(result, trace_id)
+    ) -> object:
+        future = self._submit(parse_estimate(payload), trace_id, conn)
+        return settled([future], lambda: _echo_trace(future.result(), trace_id))
 
-    async def _estimate_batch(
+    def _estimate_batch(
         self, payload: Dict[str, object], trace_id: Optional[str], conn: object
-    ) -> Dict[str, object]:
+    ) -> object:
         """N same-gallery questions in one framed message (the router's
         shard hop).
 
@@ -508,21 +508,19 @@ class EstimationServer(JsonLinesEndpoint):
         is indistinguishable from a single estimate once enqueued.
         Failures are per-member (``{"error": ...}`` in that member's
         slot): one shed or failed question must not poison its
-        batch-mates' answers.
+        batch-mates' answers.  A batch of cache hits is answered at
+        once; one miss makes the whole answer wait.
         """
         futures = [
             self._submit(query, trace_id, conn)
             for query in parse_estimate_batch(payload)
         ]
-        results: List[Dict[str, object]] = []
-        for future in futures:
-            try:
-                results.append(await future)
-            except Exception as error:
-                results.append({"error": str(error)})
-        return _echo_trace({"results": results}, trace_id)
+        return settled(
+            futures,
+            lambda: _echo_trace({"results": member_results(futures)}, trace_id),
+        )
 
-    async def _cache_import(
+    def _cache_import(
         self, payload: Dict[str, object], *_: object
     ) -> Dict[str, object]:
         return {"imported": self.cache.import_entries(parse_cache_entries(payload))}
@@ -570,7 +568,7 @@ class EstimationServer(JsonLinesEndpoint):
         self._arrival.set()
         return future
 
-    async def _cache_export(
+    def _cache_export(
         self, payload: Dict[str, object], *_: object
     ) -> Dict[str, object]:
         """The ``cache_export`` op: portable warm answers per gallery.
@@ -629,29 +627,24 @@ class EstimationServer(JsonLinesEndpoint):
             f"({policy.name} policy)"
         )
 
-    async def _in_solver_thread(self, call, *args):
-        """Run a pool-touching call on the solver thread.
+    def _stats(self, *_: object) -> object:
+        """The ``stats`` op: loop-side counters plus the pool view.
 
-        The pool is mutated by solves on the single worker thread;
-        routing the ``stats`` pool read through the same executor
-        serializes it against in-flight solves instead of racing their
-        dict mutations.
-        """
-        if self._executor is None:  # quiesced (before start/after close)
-            return call(*args)
-        return await asyncio.get_running_loop().run_in_executor(
-            self._executor, call, *args
-        )
+        Solves mutate the pool on the solver thread, so while a batch
+        runs the pool is read there, serialized against the solve; with
+        no batch running nothing touches it and the answer is
+        immediate.  A solver pool's workers are asked for their view."""
+        if self._workers is None and not self._busy:
+            return self.snapshot()
 
-    async def _stats(self, *_: object) -> Dict[str, object]:
-        """The ``stats`` op: loop-side counters + thread-safe pool view."""
-        workers = (
-            await self._workers.snapshot() if self._workers is not None else None
-        )
-        return self.snapshot(
-            pool=await self._in_solver_thread(self.pool.snapshot),
-            workers=workers,
-        )
+        async def solver_side() -> Dict[str, object]:
+            if self._workers is not None:
+                return self.snapshot(workers=await self._workers.snapshot())
+            loop = asyncio.get_running_loop()
+            pool = await loop.run_in_executor(self._executor, self.pool.snapshot)
+            return self.snapshot(pool=pool)
+
+        return solver_side()
 
     async def _place(
         self, payload: Dict[str, object], trace_id: Optional[str], conn: object
@@ -825,7 +818,7 @@ class EstimationServer(JsonLinesEndpoint):
         Safe to call directly on a quiesced server (tests, benches);
         while solves are in flight the protocol path supplies ``pool``
         captured on the solver thread instead (see
-        :meth:`_in_solver_thread`).  ``workers`` is the solver pool's
+        :meth:`_stats`).  ``workers`` is the solver pool's
         deep view when the ``stats`` op gathered one; the direct path
         reports the loop-side view.
         """

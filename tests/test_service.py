@@ -22,7 +22,7 @@ import pytest
 
 import repro
 from repro.core.estimator import ProbabilisticEstimator
-from repro.exceptions import ServiceError
+from repro.exceptions import ServiceConnectionError, ServiceError
 from repro.experiments.service_load import (
     LATENCY_BUCKETS,
     LoadConfig,
@@ -717,6 +717,77 @@ class TestServer:
             EstimationServer(max_batch=0)
         with pytest.raises(ServiceError):
             EstimationServer(max_pending=0)
+
+
+# ----------------------------------------------------------------------
+# Client: responses filed by id
+# ----------------------------------------------------------------------
+def against_fake_server(answer, calls):
+    """Run ``calls(client)`` against a scripted peer: it reads two
+    request lines, then ``answer(reader, writer, ids)`` replies (or
+    not)."""
+
+    async def scenario():
+        async def handle(reader, writer):
+            ids = [json.loads(await reader.readline())["id"] for _ in range(2)]
+            await answer(reader, writer, ids)
+
+        server = await asyncio.start_server(handle, "127.0.0.1", 0)
+        host, port = server.sockets[0].getsockname()[:2]
+        client = await ServiceClient.connect(host, port)
+        try:
+            return await calls(client)
+        finally:
+            await client.aclose()
+            server.close()
+            await server.wait_closed()
+
+    return asyncio.run(scenario())
+
+
+def two_calls(client):
+    return asyncio.gather(client.ping(), client.stats(), return_exceptions=True)
+
+
+class TestClientFiling:
+    def test_out_of_order_responses_are_matched_by_id(self):
+        async def reversed_answers(reader, writer, ids):
+            for request_id in reversed(ids):
+                writer.write(
+                    encode_message(
+                        {"id": request_id, "ok": True, "result": {"n": request_id}}
+                    )
+                )
+            await writer.drain()
+
+        first, second = against_fake_server(reversed_answers, two_calls)
+        assert first["n"] < second["n"]
+
+    def test_connection_loss_fails_every_pending_call(self):
+        async def hang_up(reader, writer, ids):
+            writer.close()
+
+        async def calls(client):
+            outcomes = await two_calls(client)
+            # The client stays failed: later calls fail at once.
+            with pytest.raises(ServiceConnectionError):
+                await client.ping()
+            return outcomes
+
+        outcomes = against_fake_server(hang_up, calls)
+        assert all(isinstance(o, ServiceConnectionError) for o in outcomes)
+
+    def test_a_non_integer_response_id_fails_the_pending_calls(self):
+        async def bad_id(reader, writer, ids):
+            writer.write(encode_message({"id": "seven", "ok": True, "result": {}}))
+            await writer.drain()
+            await reader.read()  # no answers follow; the client hangs up
+
+        outcomes = against_fake_server(
+            bad_id, lambda client: asyncio.wait_for(two_calls(client), 2)
+        )
+        assert all(type(o) is ServiceError for o in outcomes)
+        assert all("unexpected id 'seven'" in str(o) for o in outcomes)
 
 
 # ----------------------------------------------------------------------

@@ -10,12 +10,18 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 
 import pytest
 
+from repro.runtime.service import GallerySpec
 from repro.service.protocol import MAX_MESSAGE_BYTES
 from repro.service.router import ShardRouter
 from repro.service.server import EstimationServer
+from repro.telemetry import Tracer
+
+GALLERY = {"kind": "paper", "seed": 2007, "applications": 4}
+NAMES = GallerySpec(kind="paper", seed=2007, application_count=4).application_names()
 
 #: The endpoint's stream read limit; one byte more is an over-long line.
 READ_LIMIT = 2 * MAX_MESSAGE_BYTES
@@ -26,13 +32,23 @@ def serve_raw(kind, scenario):
     fresh front end of ``kind``."""
 
     async def main():
-        shard = EstimationServer()
+        shard = EstimationServer(tracer=Tracer(enabled=True))
         address = await shard.start()
         front = shard
         if kind == "router":
-            front = ShardRouter([address], health_interval=0.0)
+            front = ShardRouter(
+                [address], health_interval=0.0, tracer=Tracer(enabled=True)
+            )
             address = await front.start()
-        reader, writer = await asyncio.open_connection(*address)
+        # A small receive buffer, so a client that stops reading fills
+        # the path back to the endpoint quickly.
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.setblocking(False)
+        await asyncio.get_running_loop().sock_connect(sock, address)
+        reader, writer = await asyncio.open_connection(
+            sock=sock, limit=2 * MAX_MESSAGE_BYTES
+        )
         try:
             return await scenario(front, reader, writer)
         finally:
@@ -129,3 +145,94 @@ class TestEndpoint:
         )
         assert "estimate" in operations and "shutdown" in operations
         assert ("join" in operations) == (kind == "router")
+
+    def test_a_request_split_byte_by_byte_is_framed_whole(self, kind):
+        async def scenario(front, reader, writer):
+            # The id holds two-byte UTF-8 characters, so some writes end
+            # inside a character.
+            line = json.dumps({"id": "päng-ü", "op": "ping"}, ensure_ascii=False)
+            for byte in line.encode("utf-8") + b"\n":
+                await send(writer, bytes([byte]))
+                await asyncio.sleep(0.001)
+            return await receive(reader)
+
+        pong = serve_raw(kind, scenario)
+        assert pong["id"] == "päng-ü" and pong["result"]["pong"] is True
+
+    def test_waiting_requests_read_together_get_sibling_spans(self, kind):
+        """Two estimates in one write both wait (a miss, a shard hop):
+        each request span is a root carrying its own trace id, and
+        nothing nests under the other."""
+
+        async def scenario(front, reader, writer):
+            await send(
+                writer,
+                *[
+                    request(
+                        id=index,
+                        op="estimate",
+                        gallery=GALLERY,
+                        use_case=[NAMES[index]],
+                        trace=f"t{index}",
+                    )
+                    for index in range(2)
+                ],
+            )
+            answers = [await receive(reader) for _ in range(2)]
+            return answers, front.tracer.spans(), front._request_span
+
+        answers, spans, request_span = serve_raw(kind, scenario)
+        assert {a["id"]: a["result"]["trace"] for a in answers} == {0: "t0", 1: "t1"}
+        requests = [span for span in spans if span.name == request_span]
+        assert sorted(span.trace_id for span in requests) == ["t0", "t1"]
+        assert all(span.parent_id is None for span in requests)
+        request_ids = {span.span_id for span in requests}
+        for span in spans:
+            if span.parent_id in request_ids:
+                parent = next(r for r in requests if r.span_id == span.parent_id)
+                assert span.trace_id == parent.trace_id
+
+    def test_a_client_that_stops_reading_pauses_reading(self, kind):
+        async def scenario(front, reader, writer):
+            (connection,) = front._connections
+            sent = 0
+            while connection._reader.is_reading():
+                assert sent < 2000, "reading never paused"
+                await send(
+                    writer, *[request(id=sent + i, op="metrics") for i in range(20)]
+                )
+                sent += 20
+                await asyncio.sleep(0.01)
+            paused_at = sent
+            for _ in range(sent):
+                await receive(reader)
+            for _ in range(100):
+                if connection._reader.is_reading():
+                    break
+                await asyncio.sleep(0.01)
+            resumed = connection._reader.is_reading()
+            await send(writer, request(id="after", op="ping"))
+            return paused_at, resumed, await receive(reader)
+
+        paused_at, resumed, pong = serve_raw(kind, scenario)
+        assert paused_at > 0
+        assert resumed
+        assert pong["id"] == "after"
+
+    def test_shutdown_answers_requests_in_flight_then_closes(self, kind):
+        async def scenario(front, reader, writer):
+            await send(
+                writer,
+                request(id=1, op="estimate", gallery=GALLERY, use_case=list(NAMES)),
+                request(id=2, op="shutdown"),
+                request(id=3, op="ping"),  # read after shutdown: ignored
+            )
+            answers = [await receive(reader) for _ in range(2)]
+            rest = await asyncio.wait_for(reader.read(), timeout=5)
+            return answers, rest
+
+        answers, rest = serve_raw(kind, scenario)
+        by_id = {answer["id"]: answer for answer in answers}
+        assert by_id[2]["result"] == {"stopping": True}
+        assert set(by_id[1]["result"]["periods"]) == set(NAMES)
+        assert rest == b""

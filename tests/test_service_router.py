@@ -14,8 +14,11 @@ router retries them on the surviving shards.
 from __future__ import annotations
 
 import asyncio
+import bisect
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ServiceError
 from repro.runtime.service import GallerySpec
@@ -80,6 +83,39 @@ class TestHashRing:
             order = ring.nodes_for(key)
             assert order[0] == ring.node_for(key)
             assert sorted(order) == ["a", "b", "c"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        nodes=st.lists(
+            st.text(min_size=1, max_size=6), min_size=1, max_size=6, unique=True
+        ),
+        removed=st.integers(min_value=0, max_value=5),
+        keys=st.lists(st.text(max_size=12), min_size=1, max_size=8),
+        replicas=st.integers(min_value=1, max_value=16),
+    )
+    def test_nodes_for_matches_the_full_ring_walk(
+        self, nodes, removed, keys, replicas
+    ):
+        """Stopping once every live node is listed gives the order a
+        walk over every ring point gives, before and after a removal."""
+
+        def full_walk(ring, key):
+            points = ring._points
+            start = bisect.bisect_right(points, stable_hash(key))
+            order = []
+            for offset in range(len(points)):
+                node = ring._owners[points[(start + offset) % len(points)]]
+                if node not in order:
+                    order.append(node)
+            return order
+
+        ring = HashRing(nodes, replicas=replicas)
+        for key in keys:
+            assert ring.nodes_for(key) == full_walk(ring, key)
+        if len(nodes) > 1:
+            ring.remove(nodes[removed % len(nodes)])
+            for key in keys:
+                assert ring.nodes_for(key) == full_walk(ring, key)
 
     def test_rejoin_restores_placement(self):
         ring = HashRing(["a", "b"])
