@@ -13,6 +13,8 @@ plotted and diffed across PRs:
   on the same sweep (PR 3's claim; ``null`` without numpy);
 * ``batched_fixed_point_sweep`` — scalar vs. mask-batched fixed-point
   refinement (``iterations > 1``) on the same sweep (PR 6's claim);
+* ``sweep_memo`` — entries and tracemalloc bytes per entry of the
+  response-time memos after one default exhaustive sweep;
 * ``runtime.decisions_per_second`` — resource-manager decision rate
   over a replayed scenario trace (PR 2's claim);
 * ``service`` — queries/sec and latency percentiles of the
@@ -82,7 +84,9 @@ from typing import Callable, Dict, Optional, Sequence
 #: 7: ``fleet.router_batching`` records the default router (which
 #:    always coalesces) on that storm: qps, p99, errors and hops per
 #:    query.  The window sweep and its speedup fields are gone.
-SCHEMA_VERSION = 7
+#: 8: ``speedups.sweep_memo`` — the response-time memo of one default
+#:    exhaustive sweep: entry count and tracemalloc bytes per entry.
+SCHEMA_VERSION = 8
 
 
 def _measure_sweeps(fast: bool) -> Dict[str, object]:
@@ -157,6 +161,54 @@ def _measure_sweeps(fast: bool) -> Dict[str, object]:
         # PR 5: the registry-shipped contention models on the same
         # exhaustive sweep (None without numpy).
         "vectorized_sweep_contention_models": contention_models,
+        "sweep_memo": _measure_sweep_memo(applications),
+    }
+
+
+def _measure_sweep_memo(applications: int) -> Dict[str, object]:
+    """Entries and bytes per entry of the response-time memos after
+    one default exhaustive ``second_order`` sweep.
+
+    A first sweep warms the engines' solver structures and the
+    estimator's batch layout; the memos are then cleared and the traced
+    growth of a second, identical sweep (results dropped) is divided by
+    the entries it left behind.
+    """
+    import gc
+    import tracemalloc
+
+    from repro.analysis_engine import build_engines
+    from repro.core.estimator import ProbabilisticEstimator
+    from repro.experiments.setup import paper_benchmark_suite
+    from repro.platform.usecase import all_use_cases
+
+    suite = paper_benchmark_suite(application_count=applications)
+    engines = build_engines(suite.graphs)
+    estimator = ProbabilisticEstimator(
+        list(suite.graphs), mapping=suite.mapping, engines=engines
+    )
+    use_cases = all_use_cases(suite.application_names)
+    estimator.estimate_many(use_cases)
+    for engine in engines.values():
+        engine.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        estimator.estimate_many(use_cases)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    entries = sum(
+        len(engine._cache) + len(engine._batch_cache)
+        for engine in engines.values()
+    )
+    return {
+        "applications": applications,
+        "use_cases": len(use_cases),
+        "entries": entries,
+        "bytes_per_entry": round(grown / entries, 1) if entries else None,
     }
 
 

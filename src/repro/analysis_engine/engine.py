@@ -26,6 +26,13 @@ per-application contention state recurs (e.g. whenever the set of
 co-mapped contenders coincides), and a recurring vector is answered
 without solving at all.
 
+A memo key is the per-actor time vector packed as native IEEE-754
+doubles, ``8 * width`` bytes (``None`` keys the isolation period).
+Equal floats give equal bytes, so ``82`` and ``82.0`` share an entry.
+An entry (key, value and dict slot) costs about ``8 * width + 100``
+bytes: ~170 B for 9 actors, where a tuple of boxed floats cost ~390
+(tracemalloc, Python 3.11).
+
 Results match the cold path to well within 1e-9 relative: the engine
 feeds the identical edge problem to the identical solver, so the only
 possible divergence is Howard terminating on a different tied-optimal
@@ -38,8 +45,11 @@ floats come out equal.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from itertools import compress, repeat
+from operator import is_
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.backend import BATCH_MIN_ROWS, ArrayBackend, get_backend
 from repro.exceptions import AnalysisError, GraphError
@@ -88,9 +98,11 @@ class AnalysisEngine:
         ``"howard"`` (warm-startable, default), ``"lawler"`` or
         ``"brute"``.
     max_cache_entries:
-        Bound on the response-time memo; once reached, new vectors are
-        still solved but no longer memoized (sweeps repeat early vectors
-        far more often than late ones).
+        Bound on each response-time memo (scalar and batch); once
+        reached, new vectors are still solved but no longer memoized
+        (sweeps repeat early vectors far more often than late ones).
+        Both memos key a vector by its packed doubles (see the module
+        docstring), about ``8 * width + 100`` bytes per entry.
     """
 
     def __init__(
@@ -126,15 +138,16 @@ class AnalysisEngine:
             "Batched MCR rows whose candidate cycle failed certification",
         )
         self._actor_names: Tuple[str, ...] = graph.actor_names
-        self._base_times: Dict[str, float] = graph.execution_times()
-        self._cache: Dict[Optional[Tuple[float, ...]], float] = {}
-        # Batch-certified periods live in their own memo: on a near-tie
-        # of two cycles a certified candidate can differ from the scalar
-        # Howard result, and the scalar :meth:`period` path must keep
-        # returning byte-stable values even on engines shared with a
-        # batched sweep (the admission controller's decision logs are
-        # byte-compared).
-        self._batch_cache: Dict[Tuple[float, ...], float] = {}
+        self._base_vector: Tuple[float, ...] = tuple(
+            map(graph.execution_times().get, self._actor_names)
+        )
+        width = len(self._actor_names)
+        self._pack = struct.Struct(f"={width}d").pack
+        self._key_dtype = f"V{8 * width}"
+        self._cache: Dict[Optional[bytes], float] = {}
+        # Batch-certified periods live in their own memo (near-ties,
+        # see :meth:`period_for`).
+        self._batch_cache: Dict[bytes, float] = {}
 
         if method is AnalysisMethod.MCR:
             with self._tracer.span(
@@ -149,7 +162,7 @@ class AnalysisEngine:
                 )
                 # Each edge's weight is the execution time of its *source
                 # vertex's actor*; remember the actor's position in the
-                # cache-key vector per edge so a response vector maps to
+                # time vector per edge so a response vector maps to
                 # edge weights by integer indexing, no per-solve dict.
                 actor_position = {
                     name: i for i, name in enumerate(self._actor_names)
@@ -192,21 +205,19 @@ class AnalysisEngine:
         return self.period()
 
     # ------------------------------------------------------------------
-    def _cache_key(
+    def _vector(
         self, response_times: Optional[Mapping[str, float]]
     ) -> Optional[Tuple[float, ...]]:
-        """Canonical memo key: the full per-actor time vector.
+        """The full per-actor time vector (``None`` for isolation).
 
         Actors missing from the mapping keep their base time (matching
         ``period_with_response_times``); unknown extra keys are ignored,
-        so semantically equal inputs share one key.
+        so semantically equal inputs share one memo key.
         """
         if not response_times:
             return None
-        base = self._base_times
         return tuple(
-            response_times.get(name, base[name])
-            for name in self._actor_names
+            map(response_times.get, self._actor_names, self._base_vector)
         )
 
     def period(
@@ -219,7 +230,11 @@ class AnalysisEngine:
         mapping keep their original execution time.  Identical
         response-time vectors are answered from the memo cache.
         """
-        key = self._cache_key(response_times)
+        return self._period(self._vector(response_times))
+
+    def _period(self, vector: Optional[Tuple[float, ...]]) -> float:
+        """:meth:`period` of a full time vector (scalar memo only)."""
+        key = None if vector is None else self._pack(*vector)
         cached = self._cache.get(key)
         if cached is not None:
             self.stats.cache_hits += 1
@@ -227,14 +242,14 @@ class AnalysisEngine:
             return cached
         self.stats.cache_misses += 1
         self._metric_cache_misses.inc()
-        self._validate_key(key)
+        self._validate(vector)
         if self.method is AnalysisMethod.MCR:
-            value = self._solve(key).ratio
+            value = self._solve(vector).ratio
         else:
             graph = self.graph
-            if key is not None:
+            if vector is not None:
                 graph = graph.with_execution_times(
-                    dict(zip(self._actor_names, key))
+                    dict(zip(self._actor_names, vector))
                 )
             self.stats.solves += 1
             self._metric_solves.inc()
@@ -264,16 +279,18 @@ class AnalysisEngine:
         candidate cycles certified in batch, scalar warm solves only
         for the stragglers.  Anything else (fewer rows,
         ``backend="python"``, which forces the scalar reference loop,
-        ``lawler``/``brute``, the state-space method) runs per-row
-        :meth:`period` calls.
+        ``lawler``/``brute``, the state-space method) runs the rows
+        one by one through the scalar memo, as :meth:`period` does.
 
-        The batched branch walks the rows once: scalar memo, then batch
-        memo, then first-seen dedup of the misses, so repeated vectors
-        cost one solve.  The solver's input is the misses' rows of the
-        input array itself, in first-seen order.  Every time must be
-        positive and finite; the first bad miss raises
-        :class:`~repro.exceptions.GraphError` before anything is solved
-        or memoized.
+        Both paths key a row by its packed doubles (the module
+        docstring), so ``82`` and ``82.0`` share one entry.  The batched
+        branch reads the keys off a ``V{8*width}`` view of the input and
+        works in C-level passes: scalar memo first, batch memo second
+        (a vector in both answers with its scalar value), first-seen
+        dedup of the misses, one solve per distinct miss in that order,
+        one bulk memo write.  Every time must be positive and finite;
+        the first bad miss raises :class:`~repro.exceptions.GraphError`
+        before anything is solved or memoized.
 
         A batched period is the canonical ratio of the row's critical
         cycle (see :mod:`repro.sdf.mcm`), the same bits the scalar
@@ -288,98 +305,73 @@ class AnalysisEngine:
         """
         resolved = get_backend(backend)
         width = len(self._actor_names)
-        use_batch = (
+        if (
             resolved.vectorized
             and len(time_vectors) >= BATCH_MIN_ROWS
             and self.method is AnalysisMethod.MCR
             and self.mcr_algorithm == "howard"
-        )
-        matrix = None
-        if use_batch:
+        ):
             xp = resolved.xp  # type: ignore[union-attr]
             try:
-                matrix = xp.asarray(time_vectors, dtype=float)
-                rows = matrix.tolist()
+                matrix = xp.ascontiguousarray(time_vectors, dtype=float)
             except ValueError:  # ragged input: report lengths below
-                pass
-        if matrix is None:
-            rows = [
-                [float(value) for value in row] for row in time_vectors
-            ]
-        keys = [tuple(row) for row in rows]
-        for key in keys:
-            if len(key) != width:
+                matrix = None
+            if matrix is not None and matrix.shape[1:] == (width,):
+                return self._period_batch(matrix, xp)
+        rows = [tuple(map(float, row)) for row in time_vectors]
+        for row in rows:
+            if len(row) != width:
                 raise AnalysisError(
-                    f"expected {width} times per vector, got {len(key)}"
+                    f"expected {width} times per vector, got {len(row)}"
                 )
-        if use_batch:
-            # One pass over the keys: scalar memo, then batch memo, then
-            # first-seen dedup of the misses.  Sweeps routinely repeat
-            # vectors (same contender set in several use-cases) and one
-            # solve serves every repeat.
-            cache = self._cache
-            batch_cache = self._batch_cache
-            periods: List[Optional[float]] = []
-            misses: Dict[Tuple[float, ...], int] = {}
-            first_rows: List[int] = []
-            waiting: List[Tuple[int, int]] = []
-            for position, key in enumerate(keys):
-                value = cache.get(key)
-                if value is None:
-                    value = batch_cache.get(key)
-                if value is None:
-                    index = misses.get(key)
-                    if index is None:
-                        index = misses[key] = len(first_rows)
-                        first_rows.append(position)
-                    waiting.append((position, index))
-                periods.append(value)
-            if misses:
-                # ``asarray`` only fails on ragged rows, which the length
-                # check rejected, so ``matrix`` holds the whole input.
-                times = matrix[first_rows]
-                if not bool(xp.all((times > 0) & (times < xp.inf))):
-                    for key in misses:
-                        self._validate_key(key)
-                weights = times[:, list(self._edge_actor_indices)]
-                assert self._solver is not None
-                fallbacks_before = self._solver.batch_fallbacks
-                with self._tracer.span(
-                    "engine.solve_batch",
-                    graph=self.graph.name,
-                    rows=len(keys),
-                    misses=len(misses),
-                ) as span:
-                    ratios = self._solver.solve_many(weights, xp)
-                    span.set(
-                        fallbacks=self._solver.batch_fallbacks
-                        - fallbacks_before
-                    )
-                self._metric_batch_fallbacks.inc(
-                    self._solver.batch_fallbacks - fallbacks_before
-                )
-                self.stats.solves += len(misses)
-                self._metric_solves.inc(len(misses))
-                self.stats.cache_misses += len(misses)
-                self._metric_cache_misses.inc(len(misses))
-                room = self._max_cache_entries - len(batch_cache)
-                for key, ratio in zip(misses, ratios[: max(room, 0)]):
-                    batch_cache[key] = ratio
-                for position, index in waiting:
-                    periods[position] = ratios[index]
-            hit_rows = len(keys) - len(misses)
-            self.stats.cache_hits += hit_rows
-            if hit_rows:
-                self._metric_cache_hits.inc(hit_rows)
-            return periods
         # Small batches and non-warm-startable configurations run the
         # plain scalar path, scalar memo only — the batch memo is never
         # consulted, so a scalar run stays byte-pure even on an engine
         # previously used by a batched sweep.
-        return [
-            self.period(dict(zip(self._actor_names, key)))
-            for key in keys
-        ]
+        return [self._period(row) for row in rows]
+
+    def _period_batch(self, matrix, xp) -> list:
+        """Batched :meth:`period_for` of a C-contiguous float64 matrix."""
+        keys = matrix.view(self._key_dtype).ravel().tolist()
+        batch_cache = self._batch_cache
+        periods = list(map(self._cache.get, keys, map(batch_cache.get, keys)))
+        # Sweeps routinely repeat vectors (same contender set in several
+        # use-cases) and one solve serves every repeat.
+        misses = dict.fromkeys(compress(keys, map(is_, periods, repeat(None))))
+        if misses:
+            times = xp.frombuffer(b"".join(misses), dtype=float)
+            times = times.reshape(len(misses), matrix.shape[1])
+            if not bool(xp.all((times > 0) & (times < xp.inf))):
+                for row in times.tolist():
+                    self._validate(row)
+            weights = times[:, list(self._edge_actor_indices)]
+            assert self._solver is not None
+            fallbacks_before = self._solver.batch_fallbacks
+            with self._tracer.span(
+                "engine.solve_batch",
+                graph=self.graph.name,
+                rows=len(keys),
+                misses=len(misses),
+            ) as span:
+                ratios = self._solver.solve_many(weights, xp)
+                span.set(
+                    fallbacks=self._solver.batch_fallbacks
+                    - fallbacks_before
+                )
+            self._metric_batch_fallbacks.inc(
+                self._solver.batch_fallbacks - fallbacks_before
+            )
+            self.stats.solves += len(misses)
+            self._metric_solves.inc(len(misses))
+            self.stats.cache_misses += len(misses)
+            self._metric_cache_misses.inc(len(misses))
+            room = self._max_cache_entries - len(batch_cache)
+            batch_cache.update(zip(misses, ratios[: max(room, 0)]))
+            periods = list(map(dict(zip(misses, ratios)).get, keys, periods))
+        hit_rows = len(keys) - len(misses)
+        self.stats.cache_hits += hit_rows
+        self._metric_cache_hits.inc(hit_rows)
+        return periods
 
     def throughput(
         self, response_times: Optional[Mapping[str, float]] = None
@@ -395,22 +387,20 @@ class AnalysisEngine:
             raise AnalysisError(
                 "critical_cycle requires the MCR analysis method"
             )
-        key = self._cache_key(response_times)
-        self._validate_key(key)
-        result = self._solve(key)
+        vector = self._vector(response_times)
+        self._validate(vector)
+        result = self._solve(vector)
         firings = tuple(self._vertex_keys[i] for i in result.cycle)
         return CriticalCycle(ratio=result.ratio, firings=firings)
 
-    def _validate_key(
-        self, key: Optional[Tuple[float, ...]]
-    ) -> None:
+    def _validate(self, vector: Optional[Tuple[float, ...]]) -> None:
         """Same contract the cold path enforced through
         ``Actor.__post_init__`` when it rebuilt the graph; the MCR
         solver itself would silently accept non-positive, NaN or
         infinite weights (and the memo would keep the answer)."""
-        if key is None:
+        if vector is None:
             return
-        for name, value in zip(self._actor_names, key):
+        for name, value in zip(self._actor_names, vector):
             if value <= 0:
                 raise GraphError(
                     f"actor {name!r}: execution time must be "
@@ -423,15 +413,15 @@ class AnalysisEngine:
                 )
 
     def _solve(
-        self, key: Optional[Tuple[float, ...]]
+        self, vector: Optional[Tuple[float, ...]]
     ) -> CycleRatioResult:
         """Run the (warm-started) MCR solver for one time vector."""
         assert self._solver is not None
         self.stats.solves += 1
         self._metric_solves.inc()
-        if key is None:
+        if vector is None:
             return self._solver.solve()
-        weights = [key[i] for i in self._edge_actor_indices]
+        weights = [vector[i] for i in self._edge_actor_indices]
         return self._solver.solve(weights)
 
     # ------------------------------------------------------------------

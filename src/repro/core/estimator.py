@@ -731,15 +731,16 @@ class ProbabilisticEstimator:
         structure = self._batch_structure_for()
         app_columns = structure.app_columns
         batch = len(use_cases)
+        known = frozenset(app_columns)
         mask_rows: List[int] = []
         mask_columns: List[int] = []
         for row, use_case in enumerate(use_cases):
-            if not all(app in app_columns for app in use_case):
+            if not known.issuperset(use_case):
                 # select() raises the scalar path's unknown-application
                 # error (same type, same message).
                 use_case.select(list(self.graphs.values()))
             mask_rows.extend([row] * len(use_case))
-            mask_columns.extend(app_columns[app] for app in use_case)
+            mask_columns.extend(map(app_columns.__getitem__, use_case))
         mask = xp.zeros((batch, len(app_columns)))
         mask[mask_rows, mask_columns] = 1.0
 

@@ -71,7 +71,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.registry import validate_model_spec
+from repro.core.registry import model_info_for, validate_model_spec
 from repro.exceptions import ServiceError
 from repro.experiments.setup import DEFAULT_SEED
 from repro.platform.usecase import UseCase
@@ -98,6 +98,11 @@ MAX_MESSAGE_BYTES = 1 << 20
 #: Upper bound on use-cases one ``estimate_batch`` message may carry —
 #: a framed batch must stay well inside ``MAX_MESSAGE_BYTES``.
 MAX_BATCH_USE_CASES = 1024
+
+#: ``(model spec, gallery application names)`` -> the registry entry it
+#: passed ``validate_model_spec`` with; a hit on a still-registered entry
+#: skips building a throwaway model.  At most 256; failures never stored.
+_VALIDATED_MODELS: Dict[Tuple[str, Tuple[str, ...]], object] = {}
 
 #: Bound on the optional request-scoped ``trace`` id; it travels through
 #: span records and exporter output, so a hostile client must not be able
@@ -255,13 +260,17 @@ def _parse_model_and_method(
     payload: Dict[str, object], gallery: GallerySpec, default_model: str
 ) -> Tuple[str, AnalysisMethod]:
     model = str(payload.get("model", default_model))
+    key = (model, gallery.application_names())
     try:
         # One registry round-trip covers unknown names (the error
         # lists the registered catalogue), bad arguments ('order:x',
         # 'wrr:A=0') and per-app parameters naming apps outside the
         # gallery ('wrr:Z=2') — rejected at the protocol edge rather
         # than inside the solver worker.
-        validate_model_spec(model, gallery.application_names())
+        if _VALIDATED_MODELS.get(key) is not model_info_for(model):
+            if len(_VALIDATED_MODELS) >= 256:
+                _VALIDATED_MODELS.clear()
+            _VALIDATED_MODELS[key] = validate_model_spec(model, key[1])
     except Exception as error:
         raise ServiceError(f"bad waiting model: {error}") from None
     method_value = str(payload.get("method", "mcr"))

@@ -9,6 +9,12 @@ use-case sizes of a four-application gallery.
 
 from __future__ import annotations
 
+import gc
+import hashlib
+import random
+import struct
+import tracemalloc
+
 import pytest
 
 from repro.analysis_engine import AnalysisEngine, build_engines
@@ -410,3 +416,165 @@ class TestEstimationResultLookups:
             result.isolation_periods[name]
         )
         assert result.normalized_period_of(name) >= 1.0
+
+
+def _backends():
+    from repro.backend import numpy_available
+
+    return ["python"] + (["numpy"] if numpy_available() else [])
+
+
+def _packed(row):
+    return struct.pack(f"={len(row)}d", *row)
+
+
+class TestPackedMemo:
+    """Both memos key a vector by its packed doubles; counts, bits,
+    precedence, errors and the bytes per entry are pinned here."""
+
+    def test_table1_sweep_counts_and_bits_are_pinned(self):
+        """All 1023 use-cases of a 10-application gallery under the
+        four Table 1 methods on shared engines: the memo answers the
+        same rows and every period keeps its bits (the counts and the
+        digest were recorded with tuple-of-floats keys)."""
+        from repro.experiments.setup import paper_benchmark_suite
+
+        suite = paper_benchmark_suite(seed=2007, application_count=10)
+        engines = build_engines(suite.graphs)
+        use_cases = all_use_cases(suite.application_names)
+        digest = hashlib.sha256()
+        for model in ("second_order", "fourth_order", "composability", "worst_case"):
+            estimator = ProbabilisticEstimator(
+                suite.graphs, suite.mapping, waiting_model=model, engines=engines
+            )
+            for result in estimator.estimate_many(use_cases):
+                for app in result.use_case:
+                    digest.update(struct.pack("=d", result.periods[app]))
+        stats = [engine.stats for engine in engines.values()]
+        assert len(use_cases) == 1023
+        assert sum(s.solves for s in stats) == 19617
+        assert sum(s.cache_hits for s in stats) == 903
+        assert sum(s.cache_misses for s in stats) == 19617
+        assert digest.hexdigest() == (
+            "8fa6720636f4082620809c603203ccc11a2c9811fd681136c96986ddc3181d7e"
+        )
+
+    def test_scalar_memo_answers_batched_rows_first(self, gallery):
+        """A row already in the scalar memo is answered from it by a
+        batched call, even when the batch memo holds another value
+        for the same vector, and is not copied into the batch memo."""
+        graphs, _, _ = gallery
+        graph = graphs[0]
+        base = [graph.execution_time(name) for name in graph.actor_names]
+        known = [t + 1.0 for t in base]
+        rows = [known] + [[t + 2.0 + k for t in base] for k in range(4)]
+        for backend in _backends():
+            engine = AnalysisEngine(graph)
+            value = engine.period(dict(zip(graph.actor_names, known)))
+            engine._batch_cache[_packed(known)] = -1.0
+            solves = engine.stats.solves
+            periods = engine.period_for(rows, backend)
+            assert periods[0] == value
+            assert engine.stats.solves == solves + 4
+            assert engine._batch_cache.get(_packed(known), -1.0) == -1.0
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (0.0, "positive, got 0.0"),
+            (-5.0, "positive, got -5.0"),
+            (float("nan"), "finite, got nan"),
+            (float("inf"), "finite, got inf"),
+            (float("-inf"), "positive, got -inf"),
+            ("ragged", None),
+            ("wide", None),
+        ],
+    )
+    def test_bad_rows_raise_and_leave_memos_untouched(self, gallery, bad, message):
+        from repro.backend import BATCH_MIN_ROWS
+        from repro.exceptions import GraphError
+
+        graphs, _, _ = gallery
+        graph = graphs[0]
+        width = len(graph.actor_names)
+        base = [graph.execution_time(name) for name in graph.actor_names]
+        fresh = [[t + 3.0 + k for t in base] for k in range(BATCH_MIN_ROWS)]
+        if bad == "ragged":
+            rows = [base, base[:-1]] + fresh
+            error_type = AnalysisError
+            expected = f"expected {width} times per vector, got {width - 1}"
+        elif bad == "wide":
+            rows = [row + [1.0] for row in fresh]
+            error_type = AnalysisError
+            expected = f"expected {width} times per vector, got {width + 1}"
+        else:
+            rows = [base, [base[0], bad] + base[2:]] + fresh
+            error_type = GraphError
+            expected = (
+                f"actor {graph.actor_names[1]!r}: execution time must be "
+                f"{message}"
+            )
+        for backend in _backends():
+            engine = AnalysisEngine(graph)
+            engine.period(dict(zip(graph.actor_names, base)))
+            engine.period_for([[t + 1.0 for t in base]] * BATCH_MIN_ROWS, backend)
+            memos = (dict(engine._cache), dict(engine._batch_cache))
+            solves = engine.stats.solves
+            with pytest.raises(error_type) as error:
+                engine.period_for(rows, backend)
+            assert str(error.value) == expected
+            assert (engine._cache, engine._batch_cache) == memos
+            assert engine.stats.solves == solves
+
+    def test_int_and_float_times_share_one_entry(self, gallery):
+        """``82`` and ``82.0`` are one key, and the scalar fallback
+        (what runs without numpy) keys rows like the batched path."""
+        graphs, _, _ = gallery
+        graph = graphs[0]
+        first = graph.actor_names[0]
+        engine = AnalysisEngine(graph)
+        as_int = engine.period({first: 82})
+        solves = engine.stats.solves
+        assert engine.period({first: 82.0}) == as_int
+        assert engine.stats.solves == solves
+        row = [82.0] + [graph.execution_time(n) for n in graph.actor_names[1:]]
+        assert list(engine._cache) == [_packed(row)]
+        assert engine.period_for([row] * 5, "python") == [as_int] * 5
+        assert engine.stats.solves == solves
+        for backend in _backends():
+            other = AnalysisEngine(graph)
+            rows = [[t * (1.5 + k) for t in row] for k in range(5)]
+            other.period_for(rows, backend)
+            memo = other._batch_cache if backend == "numpy" else other._cache
+            assert set(memo) == {_packed(r) for r in rows}
+
+    def test_memo_entry_bytes_are_bounded(self):
+        """A 512-row batch grows the memo by at most ``8 * width + 160``
+        bytes per entry: key, value and dict slot, measured with
+        tracemalloc on an engine whose solver structures are warm."""
+        from repro.experiments.setup import paper_benchmark_suite
+
+        graph = paper_benchmark_suite(seed=2007, application_count=10).graphs[0]
+        width = len(graph.actor_names)
+        base = [graph.execution_time(name) for name in graph.actor_names]
+        rng = random.Random(24)
+
+        def rows(count):
+            return [[t * (1.0 + rng.random()) for t in base] for _ in range(count)]
+
+        engine = AnalysisEngine(graph)
+        engine.period_for(rows(64))
+        engine.cache_clear()
+        batch = rows(512)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            engine.period_for(batch)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        entries = len(engine._cache) + len(engine._batch_cache)
+        assert entries == 512
+        assert grown / entries <= 8 * width + 160

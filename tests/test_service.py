@@ -123,6 +123,78 @@ class TestProtocol:
                 }
             )
 
+    @pytest.fixture
+    def model_builds(self, monkeypatch):
+        """Specs instantiated by the registry, on an empty
+        validation memo."""
+        import repro.core.registry as registry
+        import repro.service.protocol as protocol
+
+        built = []
+        create = registry.create_waiting_model
+        monkeypatch.setattr(
+            registry,
+            "create_waiting_model",
+            lambda spec: built.append(spec) or create(spec),
+        )
+        monkeypatch.setattr(protocol, "_VALIDATED_MODELS", {})
+        return built
+
+    def test_repeated_good_model_is_validated_once(self, model_builds):
+        """A spec that passed for a gallery's applications is not
+        instantiated again by later parses of the same pair."""
+        payload = {
+            "gallery": GALLERY,
+            "use_case": [names()[0]],
+            "model": "wrr:A=3,B=1",
+        }
+        for _ in range(3):
+            assert parse_estimate(payload).model == "wrr:A=3,B=1"
+        assert model_builds == ["wrr:A=3,B=1"]
+        # Another gallery's application names are an entry of their own.
+        parse_estimate(
+            {**payload, "gallery": {**GALLERY, "applications": 3}}
+        )
+        assert model_builds == ["wrr:A=3,B=1"] * 2
+
+    def test_bad_model_is_refused_on_every_request(self, model_builds):
+        payload = {
+            "gallery": GALLERY,
+            "use_case": [names()[0]],
+            "model": "wrr:Z=2",
+        }
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(ServiceError, match="bad waiting") as error:
+                parse_estimate(payload)
+            messages.add(str(error.value))
+        assert len(messages) == 1
+        assert model_builds == ["wrr:Z=2"] * 3
+
+    def test_unregistered_model_is_refused_after_a_good_parse(
+        self, model_builds
+    ):
+        """A memoized spec whose registry entry went away is refused
+        with the registry's own message."""
+        from repro.core.registry import WAITING_MODELS, WaitingModelInfo
+
+        info = WaitingModelInfo(
+            name="memo_probe",
+            factory=object,
+            summary="validation memo probe",
+            semantics="conservative",
+            supports_batch=False,
+        )
+        payload = {
+            "gallery": GALLERY,
+            "use_case": [names()[0]],
+            "model": "memo_probe",
+        }
+        with WAITING_MODELS.temporary(info):
+            assert parse_estimate(payload).model == "memo_probe"
+        with pytest.raises(ServiceError, match="unknown waiting model"):
+            parse_estimate(payload)
+
     def test_degraded_query_changes_only_the_model(self):
         query = parse_estimate({"gallery": GALLERY, "use_case": [names()[0]]})
         cheap = query.degraded("composability")
