@@ -15,6 +15,11 @@ plotted and diffed across PRs:
   refinement (``iterations > 1``) on the same sweep (PR 6's claim);
 * ``sweep_memo`` — entries and tracemalloc bytes per entry of the
   response-time memos after one default exhaustive sweep;
+* ``sweep_batch`` — one 1023-row ``estimate_many`` op: its time, the
+  garbage collections it triggers and the bytes its result keeps with
+  no row read, and the time to read every row;
+* ``rows_curve`` — scalar loop vs. kernels at 2-16 rows per call,
+  every row read, the measurement behind ``BATCH_MIN_ROWS``;
 * ``runtime.decisions_per_second`` — resource-manager decision rate
   over a replayed scenario trace (PR 2's claim);
 * ``service`` — queries/sec and latency percentiles of the
@@ -86,7 +91,12 @@ from typing import Callable, Dict, Optional, Sequence
 #:    query.  The window sweep and its speedup fields are gone.
 #: 8: ``speedups.sweep_memo`` — the response-time memo of one default
 #:    exhaustive sweep: entry count and tracemalloc bytes per entry.
-SCHEMA_VERSION = 8
+#: 9: ``speedups.sweep_batch`` (per 1023-row op: time, garbage
+#:    collections and retained bytes with no row read, time to read
+#:    every row) and ``speedups.rows_curve`` (scalar vs. kernels at
+#:    2-16 rows, every row read).  Every timed sweep reads every row's
+#:    periods, since a batched result row is built when it is read.
+SCHEMA_VERSION = 9
 
 
 def _measure_sweeps(fast: bool) -> Dict[str, object]:
@@ -131,9 +141,10 @@ def _measure_sweeps(fast: bool) -> Dict[str, object]:
                 backend=backend,
             )
             started = time.perf_counter()
-            estimator.sweep_all_sizes(
+            for result in estimator.sweep_all_sizes(
                 samples_per_size=None, iterations=iterations
-            )
+            ):
+                result.periods
             return time.perf_counter() - started
 
         vectorized = round(
@@ -162,6 +173,8 @@ def _measure_sweeps(fast: bool) -> Dict[str, object]:
         # exhaustive sweep (None without numpy).
         "vectorized_sweep_contention_models": contention_models,
         "sweep_memo": _measure_sweep_memo(applications),
+        "sweep_batch": _measure_sweep_batch(fast),
+        "rows_curve": _measure_rows_curve(fast),
     }
 
 
@@ -209,6 +222,167 @@ def _measure_sweep_memo(applications: int) -> Dict[str, object]:
         "use_cases": len(use_cases),
         "entries": entries,
         "bytes_per_entry": round(grown / entries, 1) if entries else None,
+    }
+
+
+def _measure_sweep_batch(fast: bool) -> Dict[str, object]:
+    """One 1023-row ``estimate_many`` op on warm engines, per Table 1
+    method of the seed-2007 ten-application gallery.
+
+    Per op: wall time, garbage collections per generation while it ran
+    (``gc.get_stats``), and the time to read every row's periods
+    afterwards; once: the tracemalloc bytes its result keeps while no
+    row has been read.  Medians over the ops; collections are means.
+    """
+    import gc
+    import statistics
+    import tracemalloc
+
+    from repro.analysis_engine import build_engines
+    from repro.core.estimator import ProbabilisticEstimator
+    from repro.experiments.setup import paper_benchmark_suite
+    from repro.platform.usecase import all_use_cases
+
+    suite = paper_benchmark_suite(seed=2007, application_count=10)
+    engines = build_engines(suite.graphs)
+    use_cases = all_use_cases(suite.application_names)
+    estimators = [
+        ProbabilisticEstimator(
+            list(suite.graphs),
+            mapping=suite.mapping,
+            waiting_model=model,
+            engines=engines,
+        )
+        for model in (
+            "second_order", "fourth_order", "composability", "worst_case"
+        )
+    ]
+    for estimator in estimators:
+        estimator.estimate_many(use_cases)
+    op_ms, read_ms = [], []
+    collections = [0, 0, 0]
+    rounds = 2 if fast else 6
+    for _ in range(rounds):
+        for estimator in estimators:
+            before = [stats["collections"] for stats in gc.get_stats()]
+            started = time.perf_counter()
+            batch = estimator.estimate_many(use_cases)
+            op_ms.append((time.perf_counter() - started) * 1e3)
+            after = [stats["collections"] for stats in gc.get_stats()]
+            collections = [
+                total + now - then
+                for total, now, then in zip(collections, after, before)
+            ]
+            started = time.perf_counter()
+            for result in batch:
+                result.periods
+            read_ms.append((time.perf_counter() - started) * 1e3)
+            del batch
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before_bytes = tracemalloc.get_traced_memory()[0]
+        batch = estimators[0].estimate_many(use_cases)
+        retained = tracemalloc.get_traced_memory()[0] - before_bytes
+    finally:
+        tracemalloc.stop()
+    ops = len(op_ms)
+    return {
+        "rows": len(batch),
+        "ops": ops,
+        "op_ms": round(statistics.median(op_ms), 3),
+        "gc_collections_per_op": [round(n / ops, 2) for n in collections],
+        "retained_bytes_unread": retained,
+        "read_all_rows_ms": round(statistics.median(read_ms), 3),
+    }
+
+
+#: Rows per call of the rows curve, and its galleries (seed-2007
+#: ``paper`` suites by application count) and waiting models.
+CURVE_ROWS = tuple(range(2, 17))
+CURVE_APPLICATIONS = (6, 8, 10)
+CURVE_MODELS = ("second_order", "composability")
+
+
+def _measure_rows_curve(fast: bool) -> Dict[str, object]:
+    """Scalar loop vs. kernels per call of ``estimate_many`` at 2-16
+    rows, every row's periods read inside the timer.
+
+    Each call takes distinct seeded use-cases, with every engine memo
+    cleared first; the kernels side sets the estimator's dispatch
+    threshold to 1 row for the measurement, while ``period_for`` keeps
+    its own (forcing that too would batch every application however
+    few rows it is in, which the shipped rule never does).  Per
+    row count: the milliseconds summed over the (gallery, model) cells
+    (median of the calls per cell) for both sides, and the cells the
+    kernels win.  ``crossover`` is the smallest row count from which
+    the kernels' sum wins at every larger count.
+    """
+    import random
+    import statistics
+
+    import repro.core.estimator as estimator_module
+    from repro.core.estimator import ProbabilisticEstimator
+    from repro.experiments.setup import paper_benchmark_suite
+    from repro.platform.usecase import all_use_cases
+
+    rows_list = (2, 3, 4, 6, 8, 16) if fast else CURVE_ROWS
+    applications = (6,) if fast else CURVE_APPLICATIONS
+    calls = 3 if fast else 21
+    threshold = estimator_module.BATCH_MIN_ROWS
+    sums = {rows: [0.0, 0.0] for rows in rows_list}
+    wins = {rows: 0 for rows in rows_list}
+    for count in applications:
+        suite = paper_benchmark_suite(seed=2007, application_count=count)
+        pool = all_use_cases(suite.application_names)
+        for model in CURVE_MODELS:
+            sides = [
+                ProbabilisticEstimator(
+                    list(suite.graphs),
+                    mapping=suite.mapping,
+                    waiting_model=model,
+                    backend=backend,
+                )
+                for backend in ("python", None)
+            ]
+            rng = random.Random(f"rows-curve:{count}:{model}")
+            for rows in rows_list:
+                medians = []
+                for side, estimator in enumerate(sides):
+                    forced = 1 if side else threshold
+                    estimator_module.BATCH_MIN_ROWS = forced
+                    try:
+                        times = []
+                        for _ in range(calls):
+                            use_cases = rng.sample(pool, rows)
+                            for engine in estimator.engines.values():
+                                engine.cache_clear()
+                            started = time.perf_counter()
+                            batch = estimator.estimate_many(use_cases)
+                            for result in batch:
+                                result.periods
+                            times.append(time.perf_counter() - started)
+                    finally:
+                        estimator_module.BATCH_MIN_ROWS = threshold
+                    medians.append(statistics.median(times) * 1e3)
+                sums[rows][0] += medians[0]
+                sums[rows][1] += medians[1]
+                wins[rows] += medians[1] < medians[0]
+    crossover = None
+    for rows in reversed(rows_list):
+        if sums[rows][1] >= sums[rows][0]:
+            break
+        crossover = rows
+    return {
+        "applications": list(applications),
+        "models": list(CURVE_MODELS),
+        "calls_per_cell": calls,
+        "cells": len(applications) * len(CURVE_MODELS),
+        "scalar_ms": {rows: round(sums[rows][0], 3) for rows in rows_list},
+        "kernels_ms": {rows: round(sums[rows][1], 3) for rows in rows_list},
+        "kernel_wins": wins,
+        "crossover": crossover,
+        "batch_min_rows": threshold,
     }
 
 

@@ -44,6 +44,16 @@ from repro.exceptions import AnalysisError
 #: ``period_for`` alone crosses over at 3-4 rows (a 9-actor graph:
 #: 0.36 vs 0.38 ms at 3, 0.46 vs 0.40 ms at 4).  At 1 row the scalar
 #: loop takes a third to a fifth of the batched time.
+#:
+#: ``benchmarks/record.py``'s ``rows_curve`` re-checks this with every
+#: row's periods read: the same 6 pairs, the scalar loop vs. the
+#: estimator's threshold forced to 1 row (``period_for`` keeps this
+#: constant).  Five runs, summed, scalar vs. kernels: at 3 rows 14.7 vs
+#: 14.6, 17.0 vs 15.7, 15.6 vs 15.0, 17.0 vs 16.2, 19.2 vs 21.6 ms; at
+#: 4 rows the kernels won all five (18.8 vs 18.5 to 22.8 vs 20.2 ms);
+#: crossovers 3, 3, 3, 3 and 4.  With T set for both and every row
+#: read (2-16 rows, 10 alternating runs), T=4 beat T=5 in all 10:
+#: median sum 338.1 vs 341.1 ms, at 4 rows 18.9 vs 20.2 ms.
 BATCH_MIN_ROWS = 4
 
 #: Names accepted by :func:`get_backend`.
@@ -119,19 +129,18 @@ def get_backend(
             f"unknown array backend {selection!r}; choose from "
             f"{', '.join(BACKEND_NAMES)}"
         )
+    # One availability answer per call: ``auto`` builds from the answer
+    # it resolved with, and only an explicit ``numpy`` asks (and fails).
     if name == "auto":
         name = "numpy" if numpy_available() else "python"
-    cached = _INSTANCES.get(name)
-    if cached is not None:
-        return cached
-    if name == "numpy":
-        if not numpy_available():
-            raise AnalysisError(
-                "backend 'numpy' requested but numpy is not installed; "
-                "install the 'numpy' extra or use backend='python'"
-            )
-        instance: ArrayBackend = NumpyBackend()
-    else:
-        instance = PythonBackend()
-    _INSTANCES[name] = instance
+    elif name == "numpy" and name not in _INSTANCES and not numpy_available():
+        raise AnalysisError(
+            "backend 'numpy' requested but numpy is not installed; "
+            "install the 'numpy' extra or use backend='python'"
+        )
+    instance = _INSTANCES.get(name)
+    if instance is None:
+        instance = _INSTANCES[name] = (
+            NumpyBackend() if name == "numpy" else PythonBackend()
+        )
     return instance

@@ -961,8 +961,11 @@ def _cmd_sweep_estimates_only(arguments) -> None:
     # sweep_all_sizes and SweepConfig share DEFAULT_SWEEP_SEED, so this
     # covers the same use-cases as the simulating sweep and the two
     # commands' numbers are comparable.
-    results = estimator.sweep_all_sizes(
-        samples_per_size=samples, iterations=arguments.iterations
+    # A batched sweep builds its rows when read: build them in the timer.
+    results = list(
+        estimator.sweep_all_sizes(
+            samples_per_size=samples, iterations=arguments.iterations
+        )
     )
     elapsed = _time.perf_counter() - started
 

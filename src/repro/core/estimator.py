@@ -72,6 +72,10 @@ from repro.telemetry import COUNT_BUCKETS, get_registry, get_tracer
 class EstimationResult:
     """Outcome of one estimation run for one use-case.
 
+    A batched ``estimate_many`` builds its results when they are read:
+    the batch's first read builds every row in one pass.  A built
+    result is kept and is a plain instance.
+
     Attributes
     ----------
     use_case:
@@ -350,7 +354,7 @@ class ProbabilisticEstimator:
         if iterations < 1:
             raise AnalysisError("iterations must be >= 1")
         if self._can_batch(iterations, 1):
-            return self._estimate_many_batched(
+            return self.estimate_many(
                 [use_case], iterations=iterations, tolerance=tolerance
             )[0]
         active = use_case.select(list(self.graphs.values()))
@@ -418,7 +422,7 @@ class ProbabilisticEstimator:
         use_cases: Sequence[UseCase],
         iterations: int = 1,
         tolerance: float = 1e-6,
-    ) -> List[EstimationResult]:
+    ) -> Sequence[EstimationResult]:
         """Batched Fig. 4 over many use-cases of one application set.
 
         All estimates share the per-application engines, so the HSDF
@@ -439,28 +443,36 @@ class ProbabilisticEstimator:
         frozen under a per-row mask so only still-moving rows pay for
         further refinement.  Smaller batches run the scalar loop per
         use-case.  Both give the same bits.
+
+        The scalar loop returns a list.  The array pipeline returns a
+        read-only sequence that holds the batch's matrices; its first
+        read (an index, a slice or iteration) builds every result in
+        one pass.  It compares ``==`` to the list of its rows, slices to
+        a list, and pickles and copies as that list.
         """
         if iterations < 1:
             raise AnalysisError("iterations must be >= 1")
-        if self._can_batch(iterations, len(use_cases)):
-            return self._estimate_many_batched(
-                list(use_cases),
-                iterations=iterations,
-                tolerance=tolerance,
-            )
+        batched = self._can_batch(iterations, len(use_cases))
         with self._tracer.span(
             "estimator.estimate_many",
             model=self.waiting_model.name,
             use_cases=len(use_cases),
             iterations=iterations,
-            batched=False,
-        ):
-            return [
-                self.estimate(
-                    use_case, iterations=iterations, tolerance=tolerance
-                )
-                for use_case in use_cases
-            ]
+            batched=batched,
+        ) as span:
+            if not batched:
+                return [
+                    self.estimate(
+                        use_case, iterations=iterations, tolerance=tolerance
+                    )
+                    for use_case in use_cases
+                ]
+            results = self._run_batched(
+                list(use_cases), iterations, tolerance
+            )
+            # The most passes of any row, without building a row.
+            span.set(passes=int(results._passes.max()))
+            return results
 
     def sweep_all_sizes(
         self,
@@ -468,7 +480,7 @@ class ProbabilisticEstimator:
         seed: int = DEFAULT_SWEEP_SEED,
         iterations: int = 1,
         tolerance: float = 1e-6,
-    ) -> List[EstimationResult]:
+    ) -> Sequence[EstimationResult]:
         """Estimate use-cases of every size 1..N (the paper's 2^N sweep).
 
         ``samples_per_size=None`` is exhaustive; otherwise each
@@ -664,35 +676,12 @@ class ProbabilisticEstimator:
             )
         return xp.minimum(probability, 1.0)
 
-    def _estimate_many_batched(
-        self,
-        use_cases: Sequence[UseCase],
-        iterations: int = 1,
-        tolerance: float = 1e-6,
-    ) -> List[EstimationResult]:
-        """Span-wrapped entry to the array pipeline (:meth:`_run_batched`).
-
-        The results' ``waiting_times``/``response_times`` are lazy
-        :class:`_RowTable` views over the batch's wait matrix.
-        """
-        with self._tracer.span(
-            "estimator.estimate_many",
-            model=self.waiting_model.name,
-            use_cases=len(use_cases),
-            iterations=iterations,
-            batched=True,
-        ) as span:
-            results = self._run_batched(use_cases, iterations, tolerance)
-            if results:
-                span.set(passes=max(r.iterations_used for r in results))
-            return results
-
     def _run_batched(
         self,
         use_cases: Sequence[UseCase],
         iterations: int = 1,
         tolerance: float = 1e-6,
-    ) -> List[EstimationResult]:
+    ) -> Sequence[EstimationResult]:
         """The array flavour of :meth:`estimate_many`.
 
         Produces the same :class:`EstimationResult` values as the scalar
@@ -705,9 +694,13 @@ class ProbabilisticEstimator:
         application, each in ``actor_names`` order).  Each processor's
         kernel output is scattered into its residents' columns, and an
         application's period input is the slice of its column span
-        plus ``tau``.  Each result reads its row of one ``tolist()``:
-        periods become dicts, while the per-actor tables are
-        :class:`_RowTable` views that build their dict on first read.
+        plus ``tau``.  The return value is a columnar
+        :class:`_ResultBatch` over the period matrix, the wait matrix
+        and the pass counts: no result is built here.  The batch's first
+        read (an index, a slice or iteration) builds every
+        :class:`EstimationResult` in one pass; the per-actor tables are
+        :class:`_RowTable` views that convert their wait-matrix row on
+        first read.
 
         ``iterations > 1`` runs the fixed-point refinement on the whole
         batch at once with a per-row convergence mask: each pass
@@ -724,8 +717,6 @@ class ProbabilisticEstimator:
         the batch size.
         """
         started = _time.perf_counter()
-        if not use_cases:
-            return []
         self._metric_use_cases.inc(len(use_cases))
         xp = self.backend.xp  # type: ignore[union-attr]
         structure = self._batch_structure_for()
@@ -763,6 +754,12 @@ class ProbabilisticEstimator:
             # rows are still refining, so the histogram shows the decay.
             self._metric_passes.inc()
             self._metric_active_rows.observe(int(rows.size))
+            # While every row is active (passes 1 and 2) the whole
+            # arrays are read and written: no gather, no scatter.
+            if int(rows.size) == batch:
+                rows = wait_rows = slice(None)
+            else:
+                wait_rows = rows[:, None]
             sub_mask = mask[rows]
             for processor in structure.processors:
                 active = sub_mask[:, processor.app_columns]
@@ -793,7 +790,7 @@ class ProbabilisticEstimator:
                     )
                 # Only active rows are written: frozen rows keep the
                 # waiting of their final pass.
-                wait[rows[:, None], processor.wait_columns] = waiting
+                wait[wait_rows, processor.wait_columns] = waiting
 
             row_converged = xp.ones(batch, dtype=bool)
             for app, column in app_columns.items():
@@ -825,39 +822,16 @@ class ProbabilisticEstimator:
                 # the second pass on.
                 active_rows = active_rows & ~row_converged
 
-        wait_rows = wait.tolist()
-        period_rows = periods.tolist()
-        passes = iterations_used.tolist()
-        isolation = self.isolation_periods
-        model_name = self.waiting_model.name
-        elapsed = _time.perf_counter() - started
-        per_use_case = elapsed / batch
-        results: List[EstimationResult] = []
-        for use_case, wait_row, period_row, used in zip(
-            use_cases, wait_rows, period_rows, passes
-        ):
-            results.append(
-                EstimationResult(
-                    use_case=use_case,
-                    model_name=model_name,
-                    periods={
-                        app: period_row[app_columns[app]]
-                        for app in use_case
-                    },
-                    isolation_periods={
-                        app: isolation[app] for app in use_case
-                    },
-                    waiting_times=_RowTable(
-                        structure, use_case, wait_row, False
-                    ),
-                    response_times=_RowTable(
-                        structure, use_case, wait_row, True
-                    ),
-                    iterations_used=used,
-                    analysis_seconds=per_use_case,
-                )
-            )
-        return results
+        return _ResultBatch(
+            structure,
+            use_cases,
+            self.waiting_model.name,
+            self.isolation_periods,
+            (_time.perf_counter() - started) / batch,
+            periods,
+            wait,
+            iterations_used,
+        )
 
 
 @dataclass
@@ -891,32 +865,108 @@ class _BatchStructure:
     tau: object
 
 
+@dataclass(eq=False, repr=False)
+class _ResultBatch(collections.abc.Sequence):
+    """The rows of one batched ``estimate_many``, built when read.
+
+    Holds the batch's ``(batch, applications)`` period matrix,
+    ``(batch, actors)`` wait matrix (columns as in
+    :class:`_BatchStructure`) and per-row pass counts.  The first read
+    of any kind (an index, a slice, iteration) builds every row in one
+    pass from one ``tolist()`` of the period matrix and one of the pass
+    counts, and keeps them.  A row's ``waiting_times`` /
+    ``response_times`` are :class:`_RowTable` views of its wait-matrix
+    row.  The batch compares ``==`` to the list of its rows, slices to
+    a list, and pickles and copies as that list.
+    """
+
+    _structure: _BatchStructure
+    _use_cases: List[UseCase]
+    _model_name: str
+    _isolation: Dict[str, float]
+    _seconds: float  # amortized analysis_seconds of every row
+    _periods: object  # (batch, applications) array
+    _wait: object  # (batch, actors) array
+    _passes: object  # (batch,) int array: iterations_used per row
+
+    def __post_init__(self) -> None:
+        self._built: Optional[List[EstimationResult]] = None
+
+    def _rows(self) -> List[EstimationResult]:
+        """Every row, built on the batch's first read."""
+        if self._built is None:
+            structure, isolation, wait = (
+                self._structure, self._isolation, self._wait
+            )
+            columns, name, seconds = (
+                structure.app_columns, self._model_name, self._seconds
+            )
+            self._built = [
+                EstimationResult(
+                    use_case,
+                    name,
+                    {
+                        app: period_row[columns[app]]
+                        for app in use_case.applications
+                    },
+                    {app: isolation[app] for app in use_case.applications},
+                    _RowTable(structure, use_case, wait, index, False),
+                    _RowTable(structure, use_case, wait, index, True),
+                    used,
+                    seconds,
+                )
+                for index, (use_case, period_row, used) in enumerate(
+                    zip(
+                        self._use_cases,
+                        self._periods.tolist(),
+                        self._passes.tolist(),
+                    )
+                )
+            ]
+        return self._built
+
+    def __len__(self) -> int:
+        return len(self._use_cases)
+
+    def __getitem__(self, index):
+        return self._rows()[index]
+
+    def __iter__(self):
+        return iter(self._rows())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, _ResultBatch)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self._rows())
+
+    def __reduce__(self):
+        return list, (self._rows(),)
+
+
 class _RowTable(collections.abc.Mapping):
     """One batched row's per-actor table, built into a dict on first read.
 
     ``waiting_times`` / ``response_times`` of a batched result.  Until
-    read it holds only the row's list from the wait matrix; the first
-    read builds the dict, keyed in use-case order, then ``actor_names``
-    order.  A response time is ``tau + wait``, the same IEEE add as the
-    scalar path's.  The table compares ``==`` to its dict, and pickles
-    and copies as it.
+    read it holds only the batch's wait matrix and its row index; the
+    first read converts that row and builds the dict, keyed in use-case
+    order, then ``actor_names`` order.  A response time is
+    ``tau + wait``, the same IEEE add as the scalar path's.  The table
+    compares ``==`` to its dict, and pickles and copies as it.
     """
 
     __slots__ = ("_source", "_table")
 
-    def __init__(
-        self,
-        structure: _BatchStructure,
-        use_case: UseCase,
-        wait_row: List[float],
-        add_tau: bool,
-    ) -> None:
-        self._source = (structure, use_case, wait_row, add_tau)
+    def __init__(self, structure, use_case, wait, index, add_tau) -> None:
+        self._source = (structure, use_case, wait, index, add_tau)
         self._table: Optional[Dict[Tuple[str, str], float]] = None
 
     def _dict(self) -> Dict[Tuple[str, str], float]:
         if self._table is None:
-            structure, use_case, wait_row, add_tau = self._source
+            structure, use_case, wait, index, add_tau = self._source
+            wait_row = wait[index].tolist()
             table: Dict[Tuple[str, str], float] = {}
             for app in use_case:
                 low, high = structure.spans[app]

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+import repro.backend.array as array_module
 from repro.analysis_engine import AnalysisEngine
 from repro.backend import (
     BATCH_MIN_ROWS,
@@ -427,3 +428,29 @@ class TestDiscreteTimeValidation:
     def test_positive_weights_still_work(self):
         dist = DiscreteTime.of([(120.0, 1.0), (80.0, 3.0)])
         assert dist.mean() == pytest.approx(90.0)
+
+
+class TestBackendResolvesOnce:
+    """``get_backend`` asks whether NumPy is importable once per call."""
+
+    @needs_numpy
+    def test_auto_builds_from_the_answer_it_resolved_with(
+        self, monkeypatch
+    ):
+        answers = iter([True, False])
+        monkeypatch.setattr(
+            array_module, "numpy_available", lambda: next(answers)
+        )
+        monkeypatch.setattr(array_module, "_INSTANCES", {})
+        assert get_backend().name == "numpy"
+
+    def test_explicit_numpy_without_numpy_still_raises(self, monkeypatch):
+        monkeypatch.setattr(array_module, "numpy_available", lambda: False)
+        monkeypatch.setattr(array_module, "_INSTANCES", {})
+        with pytest.raises(AnalysisError) as excinfo:
+            get_backend("numpy")
+        assert str(excinfo.value) == (
+            "backend 'numpy' requested but numpy is not installed; "
+            "install the 'numpy' extra or use backend='python'"
+        )
+        assert get_backend().name == "python"
