@@ -368,6 +368,81 @@ def test_certification_size_curve(benchmark):
     )
 
 
+#: Batch sizes of the waiting-kernel size curve; 1023 is one exhaustive
+#: ten-application sweep.
+KERNEL_ROWS = (1, 16, 128, 1023)
+
+#: The Table 1 techniques that run a batched waiting kernel.
+KERNEL_MODELS = ("second_order", "fourth_order", "composability")
+
+
+def test_waiting_kernel_size_curve(benchmark):
+    """Microseconds per batched waiting-kernel call by batch size.
+
+    No bar: a size curve of ``waiting_times_batch`` for the Table 1
+    techniques on the seed-2007 ten-application gallery.  Each row of
+    a batch is one use-case of the exhaustive sweep (the first ``n``
+    of them in ``all_use_cases`` order); every shared processor's
+    kernel is timed on its own activity mask, best of three timed
+    loops, and the curve reports the mean over processors.
+    """
+    import numpy as np
+
+    from repro.platform.usecase import all_use_cases
+
+    suite = paper_benchmark_suite(seed=2007, application_count=10)
+    use_cases = all_use_cases(suite.application_names)
+    loops = 3 if SMOKE else 20
+
+    def run():
+        curve = {}
+        for model in KERNEL_MODELS:
+            estimator = ProbabilisticEstimator(
+                list(suite.graphs),
+                mapping=suite.mapping,
+                waiting_model=model,
+                backend="numpy",
+            )
+            structure = estimator._batch_structure_for()
+            columns = structure.app_columns
+            mask = np.zeros((len(use_cases), len(columns)))
+            for row, use_case in enumerate(use_cases):
+                mask[row, [columns[app] for app in use_case.applications]] = 1.0
+            kernel = estimator.waiting_model.waiting_times_batch
+            for rows in KERNEL_ROWS:
+                total = 0.0
+                for processor in structure.processors:
+                    active = mask[:rows, processor.app_columns]
+                    inc = active[:, None, :] * processor.other_ok[None, :, :]
+                    best = float("inf")
+                    for _ in range(3):
+                        started = time.perf_counter()
+                        for _ in range(loops):
+                            kernel(processor.vectors, inc, active, np)
+                        best = min(best, (time.perf_counter() - started) / loops)
+                    total += best
+                curve[model, rows] = total / len(structure.processors) * 1e6
+        return curve
+
+    curve = benchmark.pedantic(run, rounds=1, iterations=1)
+    for (model, rows), micros in curve.items():
+        benchmark.extra_info[f"{model}_us_per_call_{rows}"] = round(micros, 1)
+    report(
+        "waiting_kernel_size_curve",
+        render_table(
+            ["rows", *KERNEL_MODELS],
+            [
+                [rows, *(f"{curve[model, rows]:.1f}" for model in KERNEL_MODELS)]
+                for rows in KERNEL_ROWS
+            ],
+            title=(
+                "Batched waiting kernels - us per call, seed-2007 10-app "
+                "gallery (mean over processors)"
+            ),
+        ),
+    )
+
+
 #: Batched fixed-point workload: the refinement loop multiplies the
 #: scalar cost by the pass count, while the batched mask pays only for
 #: still-moving rows — the win grows with the batch, so the bench uses

@@ -234,7 +234,11 @@ class AnalysisEngine:
 
     def _period(self, vector: Optional[Tuple[float, ...]]) -> float:
         """:meth:`period` of a full time vector (scalar memo only)."""
-        key = None if vector is None else self._pack(*vector)
+        try:
+            key = None if vector is None else self._pack(*vector)
+        except struct.error:
+            self._validate(vector)  # names the first non-numeric time
+            raise
         cached = self._cache.get(key)
         if cached is not None:
             self.stats.cache_hits += 1
@@ -397,20 +401,27 @@ class AnalysisEngine:
         """Same contract the cold path enforced through
         ``Actor.__post_init__`` when it rebuilt the graph; the MCR
         solver itself would silently accept non-positive, NaN or
-        infinite weights (and the memo would keep the answer)."""
+        infinite weights (and the memo would keep the answer).  A time
+        that is not a number at all raises the same error type."""
         if vector is None:
             return
         for name, value in zip(self._actor_names, vector):
-            if value <= 0:
+            try:
+                if value <= 0:
+                    raise GraphError(
+                        f"actor {name!r}: execution time must be "
+                        f"positive, got {value!r}"
+                    )
+                if not value < math.inf:
+                    raise GraphError(
+                        f"actor {name!r}: execution time must be "
+                        f"finite, got {value!r}"
+                    )
+            except TypeError:
                 raise GraphError(
-                    f"actor {name!r}: execution time must be "
-                    f"positive, got {value!r}"
-                )
-            if not value < math.inf:
-                raise GraphError(
-                    f"actor {name!r}: execution time must be "
-                    f"finite, got {value!r}"
-                )
+                    f"actor {name!r}: execution time must be a "
+                    f"number, got {value!r}"
+                ) from None
 
     def _solve(
         self, vector: Optional[Tuple[float, ...]]

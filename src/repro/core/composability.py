@@ -126,38 +126,48 @@ def batched_waiting_composition(
     ``inc[u, o, i] = 1`` iff resident ``i`` is an active contender of
     resident ``o`` in batch row ``u``.  The fold walks the residents in
     processor order — exactly the scalar ``compose_all`` order — and
-    each step applies :func:`compose`'s arithmetic elementwise, skipping
-    excluded residents, so every ``(u, o)`` entry reproduces the scalar
-    left fold of :class:`CompositionWaitingModel` bit for bit, for both
-    variants.
+    each step applies :func:`compose`'s arithmetic elementwise, leaving
+    the entries that exclude the resident unchanged, so every ``(u, o)``
+    entry reproduces the scalar left fold of
+    :class:`CompositionWaitingModel` bit for bit, for both variants.
 
     Returns an array of shape ``(U, n)`` of ``mu.P`` waiting products.
+
+    Each step runs in place in preallocated ``(U, n)`` arrays.  Instead
+    of a select, an excluded resident enters the step with ``P = 0``
+    and ``mu.P = 0`` (``inc`` times its values): the step then computes
+    ``waiting * 1.0 + 0.0`` and ``probability + 0.0 - 0.0``, which leave
+    both folds' bits unchanged, while an included resident runs
+    :func:`compose`'s expressions in their order.  Halving is a
+    multiplication by 0.5, the same correctly rounded value.
     """
     U, n, _ = inc.shape
     rowwise = getattr(vectors.probability, "ndim", 1) > 1
     waiting = xp.zeros((U, n))
     probability = xp.zeros((U, n))
+    p_k, wp_k, scratch = (xp.empty((U, n)) for _ in range(3))
     for k in range(n):
-        included = inc[:, :, k] > 0
-        if rowwise:
-            # Per-row probabilities: (U, 1) columns broadcast over the
-            # owner axis, same fold arithmetic per row.
-            p_k = vectors.probability[:, k][:, None]
-            wp_k = vectors.waiting_product[:, k][:, None]
-        else:
-            p_k = float(vectors.probability[k])
-            wp_k = float(vectors.waiting_product[k])
-        waiting = xp.where(
-            included,
-            waiting * (1.0 + p_k / 2.0)
-            + wp_k * (1.0 + probability / 2.0),
-            waiting,
-        )
-        probability = xp.where(
-            included,
-            probability + p_k - probability * p_k,
-            probability,
-        )
+        for values, masked in (
+            (vectors.probability, p_k),
+            (vectors.waiting_product, wp_k),
+        ):
+            # Per-row values: a (U, 1) column broadcast over the owner
+            # axis, same fold arithmetic per row.
+            value = values[:, k, None] if rowwise else float(values[k])
+            xp.multiply(inc[:, :, k], value, out=masked)
+        # waiting * (1 + p_k/2) + wp_k * (1 + probability/2)
+        xp.multiply(p_k, 0.5, out=scratch)
+        xp.add(scratch, 1.0, out=scratch)
+        xp.multiply(waiting, scratch, out=waiting)
+        xp.multiply(probability, 0.5, out=scratch)
+        xp.add(scratch, 1.0, out=scratch)
+        xp.multiply(wp_k, scratch, out=scratch)
+        xp.add(waiting, scratch, out=waiting)
+        if k + 1 < n:  # the last probability is never read
+            # probability + p_k - probability * p_k
+            xp.multiply(probability, p_k, out=scratch)
+            xp.add(probability, p_k, out=probability)
+            xp.subtract(probability, scratch, out=probability)
     return waiting
 
 

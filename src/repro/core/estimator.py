@@ -726,12 +726,13 @@ class ProbabilisticEstimator:
         mask_rows: List[int] = []
         mask_columns: List[int] = []
         for row, use_case in enumerate(use_cases):
-            if not known.issuperset(use_case):
+            applications = use_case.applications
+            if not known.issuperset(applications):
                 # select() raises the scalar path's unknown-application
                 # error (same type, same message).
                 use_case.select(list(self.graphs.values()))
-            mask_rows.extend([row] * len(use_case))
-            mask_columns.extend(map(app_columns.__getitem__, use_case))
+            mask_rows.extend([row] * len(applications))
+            mask_columns.extend(map(app_columns.__getitem__, applications))
         mask = xp.zeros((batch, len(app_columns)))
         mask[mask_rows, mask_columns] = 1.0
 

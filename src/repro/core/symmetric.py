@@ -125,22 +125,30 @@ def elementary_symmetric_batch(values, include, max_order: int, xp):
     array of shape ``(..., m + 1)`` with entry ``[..., j] = e_j`` of the
     selected sub-multiset — the same product recurrence as
     :func:`elementary_symmetric_all`, run once over the element axis for
-    every batch entry simultaneously.
+    every batch entry simultaneously.  The result is an order-major
+    array viewed with the order axis last, so each ``[..., j]`` is
+    contiguous.  Each element's ``x`` and every ``x * e_{j-1}`` are
+    computed in place in two work arrays; the ``e_1`` update is a plain
+    ``e_1 += x``, as ``x * e_0`` is ``x * 1.0``.
     """
     n = int(values.shape[-1])
     m = min(max_order, n)
     if m < 0:
         raise AnalysisError(f"max_order must be >= 0, got {max_order}")
     rowwise = getattr(values, "ndim", 1) > 1
-    coefficients = xp.zeros(include.shape[:-1] + (m + 1,))
-    coefficients[..., 0] = 1.0
+    coefficients = xp.zeros((m + 1,) + include.shape[:-1])
+    coefficients[0] = 1.0
+    x = xp.empty(include.shape[:-1])
+    product = xp.empty_like(x)
     for k in range(n):
-        if rowwise:
-            # (U,) value column broadcast over the owner axis of
-            # ``include[..., k]`` (shape (U, n)).
-            x = values[..., k][..., None] * include[..., k]
-        else:
-            x = values[k] * include[..., k]
-        for j in range(min(k + 1, m), 0, -1):
-            coefficients[..., j] += x * coefficients[..., j - 1]
-    return coefficients
+        # A (U,) value column broadcasts over the owner axis of
+        # ``include[..., k]`` (shape (U, n)).
+        value = values[..., k][..., None] if rowwise else values[k]
+        xp.multiply(value, include[..., k], out=x)
+        # Descending j: each update reads e_{j-1} before it changes.
+        for j in range(min(k + 1, m), 1, -1):
+            xp.multiply(x, coefficients[j - 1], out=product)
+            coefficients[j] += product
+        if m >= 1:
+            coefficients[1] += x
+    return xp.moveaxis(coefficients, 0, -1)

@@ -175,7 +175,7 @@ def run_sweep(
 
     # Batched estimation first (the cheap part), simulation per record
     # afterwards; each EstimationResult carries its own wall-clock.
-    estimates_by_method: Dict[str, List[EstimationResult]] = {
+    estimates_by_method: Dict[str, Sequence[EstimationResult]] = {
         method: estimator.estimate_many(
             selected, iterations=cfg.fixed_point_iterations
         )

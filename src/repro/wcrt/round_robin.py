@@ -30,6 +30,23 @@ def worst_case_response_time(
     return own_tau + sum(other_taus)
 
 
+def fold_charges(inc, charges: Sequence[float], xp):
+    """``sum_i inc[u, o, i] * charges[i]`` for every ``(u, o)`` pair.
+
+    Accumulates resident by resident in processor order from 0.0, the
+    additions of the scalar loops in their order (an inactive contender
+    adds an exact ``0.0``), so the round-robin kernels give the scalar
+    bits.  An ``einsum`` would choose its own summation order.
+    """
+    U, n, _ = inc.shape
+    waiting = xp.zeros((U, n))
+    charge = xp.empty((U, n))
+    for i in range(n):
+        xp.multiply(inc[:, :, i], charges[i], out=charge)
+        waiting += charge
+    return waiting
+
+
 class WorstCaseRRWaitingModel:
     """Reference-[6] bound as a waiting model (for the shared pipeline).
 
@@ -47,10 +64,15 @@ class WorstCaseRRWaitingModel:
     def waiting_time(
         self, own: ActorProfile, others: Sequence[ActorProfile]
     ) -> float:
-        return float(sum(other.tau for other in others))
+        # A written-out left fold: builtin sum() compensates from
+        # Python 3.12 on, and the kernel adds plainly.
+        total = 0.0
+        for other in others:
+            total = total + other.tau
+        return total
 
     def waiting_times_batch(
         self, vectors: ResidentVectors, inc, own_active, xp
     ):
         """Batched bound: sum of every active contender's ``tau``."""
-        return xp.einsum("uoi,i->uo", inc, vectors.tau)
+        return fold_charges(inc, [float(tau) for tau in vectors.tau], xp)

@@ -6,11 +6,12 @@ slice of a repeating frame, so an actor only progresses during its own
 slice and execution is effectively preemptive at slice boundaries.
 
 For an actor with execution time ``tau`` and slice ``s`` in a wheel of
-total length ``W`` (one slice per resident actor here), the worst case
-arrival just misses its slice::
+total length ``W = R * s`` (one slice per each of the ``R`` resident
+actors here), the worst case arrival just misses its slice::
 
     full_slices   = ceil(tau / s)
-    t_response    = tau + full_slices * (W - s)
+    t_wait        = full_slices * s * (R - 1)     (= full_slices * (W - s))
+    t_response    = tau + t_wait
 
 i.e. the actor pays the foreign part of the wheel once per slice it
 needs.  This is even more conservative than the round-robin bound when
@@ -26,6 +27,25 @@ from typing import Sequence
 
 from repro.core.blocking import ActorProfile, ResidentVectors
 from repro.exceptions import AnalysisError
+
+
+def tdma_waiting_time(
+    own_tau: float,
+    resident_count: int,
+    slice_length: float,
+) -> float:
+    """Worst-case wait on a TDMA wheel: ``ceil(tau / s) * s * (R - 1)``.
+
+    The actor pays the ``R - 1`` foreign slices of the wheel once per
+    slice it needs.  Parameters as for :func:`tdma_response_time`; the
+    batched kernel evaluates the same expression.
+    """
+    if resident_count < 1:
+        raise AnalysisError("TDMA wheel needs at least one resident")
+    if slice_length <= 0:
+        raise AnalysisError("TDMA slice length must be positive")
+    full_slices = math.ceil(own_tau / slice_length)
+    return full_slices * slice_length * (resident_count - 1)
 
 
 def tdma_response_time(
@@ -45,15 +65,9 @@ def tdma_response_time(
     slice_length:
         Length of each slice.
     """
-    if resident_count < 1:
-        raise AnalysisError("TDMA wheel needs at least one resident")
-    if slice_length <= 0:
-        raise AnalysisError("TDMA slice length must be positive")
-    if resident_count == 1:
-        return own_tau
-    wheel = resident_count * slice_length
-    full_slices = math.ceil(own_tau / slice_length)
-    return own_tau + full_slices * (wheel - slice_length)
+    return own_tau + tdma_waiting_time(
+        own_tau, resident_count, slice_length
+    )
 
 
 class TDMAWaitingModel:
@@ -80,10 +94,7 @@ class TDMAWaitingModel:
         slice_length = (
             self.slice_length if self.slice_length is not None else own.tau
         )
-        response = tdma_response_time(
-            own.tau, len(others) + 1, slice_length
-        )
-        return response - own.tau
+        return tdma_waiting_time(own.tau, len(others) + 1, slice_length)
 
     def waiting_times_batch(
         self, vectors: ResidentVectors, inc, own_active, xp
@@ -92,10 +103,11 @@ class TDMAWaitingModel:
 
         With ``contenders[u, o]`` active others, the wheel has
         ``contenders + 1`` slices and the waiting is
-        ``ceil(tau / s) * contenders * s`` — zero when alone, matching
-        the scalar early-outs.  A zero default slice (an active
+        ``ceil(tau / s) * s * contenders``, the expression of
+        :func:`tdma_waiting_time` — zero when alone, matching the
+        scalar early-outs.  A zero default slice (an active
         zero-``tau`` owner sharing its wheel) is rejected exactly where
-        :func:`tdma_response_time` rejects it on the scalar path,
+        :func:`tdma_waiting_time` rejects it on the scalar path,
         instead of propagating NaN.
         """
         contenders = inc.sum(axis=2)

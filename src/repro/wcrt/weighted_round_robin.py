@@ -30,6 +30,7 @@ from typing import Mapping, Optional, Sequence
 from repro.core.blocking import ActorProfile, ResidentVectors
 from repro.core.specs import parse_weight_argument
 from repro.exceptions import AnalysisError
+from repro.wcrt.round_robin import fold_charges
 
 
 def parse_weights(argument: Optional[str]) -> "dict[str, int]":
@@ -135,19 +136,10 @@ class WeightedRRWaitingModel:
     def waiting_times_batch(
         self, vectors: ResidentVectors, inc, own_active, xp
     ):
-        """Batched bound: weighted-``tau`` sum of active contenders.
-
-        Accumulates resident by resident in processor order — the same
-        additions, in the same order, as the scalar loop (inactive
-        contenders add an exact ``0.0``) — so the kernel is
-        bit-identical to the scalar path, not merely within the parity
-        band.
-        """
-        U, n, _ = inc.shape
-        waiting = xp.zeros((U, n))
-        for i in range(n):
-            allocation = self.weight_of(
-                vectors.applications[i]
-            ) * float(vectors.tau[i])
-            waiting = waiting + inc[:, :, i] * allocation
-        return waiting
+        """Batched bound: weighted-``tau`` sum of active contenders,
+        folded like the scalar loop (:func:`fold_charges`)."""
+        allocations = [
+            self.weight_of(application) * float(tau)
+            for application, tau in zip(vectors.applications, vectors.tau)
+        ]
+        return fold_charges(inc, allocations, xp)

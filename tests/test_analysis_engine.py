@@ -181,6 +181,23 @@ class TestEngineBehaviour:
         with pytest.raises(GraphError):
             AnalysisEngine(graph).critical_cycle({first_actor: -5.0})
 
+    def test_non_numeric_response_time_rejected(self, gallery):
+        """A time that is not a number raises GraphError, naming the
+        actor, not the memo key packer's ``struct.error``."""
+        from repro.exceptions import GraphError
+
+        graphs, _, _ = gallery
+        graph = graphs[0]
+        first_actor = graph.actor_names[0]
+        message = f"actor {first_actor!r}: execution time must be a number"
+        for method in (AnalysisMethod.MCR, AnalysisMethod.STATE_SPACE):
+            engine = AnalysisEngine(graph, method=method)
+            with pytest.raises(GraphError, match=message):
+                engine.period({first_actor: "x"})
+            assert engine.stats.solves == 0
+        with pytest.raises(GraphError, match=message):
+            AnalysisEngine(graph).critical_cycle({first_actor: "x"})
+
     @pytest.mark.parametrize(
         "bad", [float("nan"), float("inf"), float("-inf")]
     )

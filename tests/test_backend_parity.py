@@ -15,6 +15,8 @@ determinism suite byte-compares its decision logs.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -23,6 +25,7 @@ from repro.exceptions import AnalysisError
 from repro.analysis_engine import build_engines
 from repro.backend import BATCH_MIN_ROWS, numpy_available
 from repro.core.estimator import ProbabilisticEstimator
+from repro.core.registry import WAITING_MODELS
 from repro.generation.random_sdf import GeneratorConfig, random_sdf_graph
 from repro.platform.mapping import index_mapping, modulo_mapping
 from repro.platform.platform import Platform
@@ -174,6 +177,80 @@ def test_stacked_mapping_parity(
         backend="numpy",
     ).estimate_many(use_cases)
     _assert_parity(scalar, vector)
+
+
+def _fractional_gallery(seeds, scale_seed):
+    """:func:`_gallery` with every execution time scaled by a random
+    fractional factor: the generator itself draws integer times only."""
+    rng = random.Random(scale_seed)
+    return [
+        graph.with_execution_times(
+            {
+                actor: time * rng.uniform(0.3, 3.0)
+                for actor, time in graph.execution_times().items()
+            }
+        )
+        for graph in _gallery(seeds)
+    ]
+
+
+def _every_model_spec(graphs):
+    """One specification per registered model, arguments filled in."""
+    specs = {info.name: info.name for info in WAITING_MODELS.infos()}
+    specs["order"] = "order:3"
+    specs["weighted_round_robin"] = f"weighted_round_robin:{graphs[0].name}=2"
+    return list(specs.values())
+
+
+@settings(
+    max_examples=12,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    seeds=st.lists(
+        st.integers(0, 10_000), min_size=2, max_size=4, unique=True
+    ),
+    scale_seed=st.integers(0, 2**32 - 1),
+    width=st.sampled_from([None, 2, 3]),
+)
+def test_fractional_times_agree_across_backends(seeds, scale_seed, width):
+    """Fractional execution times: every registered model gives the
+    same waiting and response times on both paths.
+
+    Periods are left out: where two cycles' ratios lie within the
+    solver tolerances, which cycle batch certification reports depends
+    on solver history (ROADMAP item 6), and fractional times reach such
+    near-ties.  Priorities are seeded per application, so
+    ``priority_preemptive`` has higher, equal and lower contenders.
+    """
+    graphs = _fractional_gallery(seeds, scale_seed)
+    mapping = (
+        index_mapping(graphs)
+        if width is None
+        else modulo_mapping(graphs, Platform.homogeneous(width))
+    ).with_priorities({graph.name: i % 3 for i, graph in enumerate(graphs)})
+    use_cases = _batch(graphs)
+    for spec in _every_model_spec(graphs):
+        try:
+            scalar = ProbabilisticEstimator(
+                graphs, mapping=mapping, waiting_model=spec, backend="python"
+            ).estimate_many(use_cases)
+        except AnalysisError as scalar_error:
+            with pytest.raises(AnalysisError) as vector_error:
+                ProbabilisticEstimator(
+                    graphs, mapping=mapping, waiting_model=spec
+                ).estimate_many(use_cases)
+            assert str(vector_error.value) == str(scalar_error)
+            continue
+        vector = ProbabilisticEstimator(
+            graphs, mapping=mapping, waiting_model=spec
+        ).estimate_many(use_cases)
+        assert not isinstance(vector, list)  # the kernels ran
+        for expected, batched in zip(scalar, vector):
+            assert batched.use_case == expected.use_case
+            assert batched.waiting_times == expected.waiting_times, spec
+            assert batched.response_times == expected.response_times, spec
 
 
 def _run_admission_sequence(graphs, mapping, engines):

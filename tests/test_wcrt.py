@@ -41,6 +41,21 @@ class TestRoundRobinWCRT:
         diffs = [b - a for a, b in zip(waits, waits[1:])]
         assert all(d == pytest.approx(20.0) for d in diffs)
 
+    def test_wait_is_a_left_fold(self):
+        """The wait adds the contenders' taus one by one from 0.0.
+
+        Builtin ``sum()`` compensates from Python 3.12 on: for ten 0.1s
+        it gives 1.0 there, the left fold 0.9999999999999999 on every
+        version, and the batched kernel folds left too.
+        """
+        own = profile(10, 0.1, "own")
+        others = [profile(0.1, 0.1, f"o{i}") for i in range(10)]
+        expected = 0.0
+        for other in others:
+            expected = expected + other.tau
+        assert expected == 0.9999999999999999
+        assert WorstCaseRRWaitingModel().waiting_time(own, others) == expected
+
     def test_dominates_exact_estimate(self, two_apps):
         from repro.core.exact import ExactWaitingModel
 
